@@ -29,6 +29,7 @@ equality of structurally different forms is checked numerically via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -389,15 +390,23 @@ def equals_numeric(a: ClosedForm, b: ClosedForm, digits: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _int_text(n: int) -> str:
+    # str(int) obeys sys.get_int_max_str_digits() (4300 by default), which
+    # shift corrections exceed; Decimal gives the same digits with no limit
+    return str(Decimal(n))
+
+
 def _frac_plain(x: Fraction) -> str:
-    return str(x)
+    if x.denominator == 1:
+        return _int_text(x.numerator)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 def _frac_latex(x: Fraction) -> str:
     if x.denominator == 1:
-        return str(x.numerator)
+        return _int_text(x.numerator)
     sign = "-" if x < 0 else ""
-    return rf"{sign}\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+    return rf"{sign}\frac{{{_int_text(abs(x.numerator))}}}{{{_int_text(x.denominator)}}}"
 
 
 def _combination_plain(c: CosineCombination) -> str:
@@ -410,9 +419,9 @@ def _combination_plain(c: CosineCombination) -> str:
         if mag == 1:
             piece = body
         elif mag.denominator == 1:
-            piece = f"{mag}*{body}"
+            piece = f"{_frac_plain(mag)}*{body}"
         else:
-            piece = f"({mag})*{body}"
+            piece = f"({_frac_plain(mag)})*{body}"
         if not parts:
             parts.append(piece if coeff > 0 else f"-{piece}")
         else:
@@ -478,9 +487,9 @@ def render(c: ClosedForm, format: str = "plain") -> str:
             elif latex:
                 text = rf"{_frac_latex(mag)}{body}"
             elif mag.denominator == 1:
-                text = f"{mag}*{body}"
+                text = f"{_frac_plain(mag)}*{body}"
             else:
-                text = f"({mag})*{body}"
+                text = f"({_frac_plain(mag)})*{body}"
             negative = q < 0
         else:
             inner = _combination_latex(coeff) if latex else _combination_plain(coeff)

@@ -176,9 +176,9 @@ def psi_closed(r: Fraction) -> ClosedForm:
         base_form = murty_saradha(sd.base.numerator, sd.base.denominator)
     if sd.correction == 0:
         return base_form
-    return combine(
-        base_form, ClosedForm.build({UNIT: sd.correction}), 1, 1
-    )
+    # the base form is canonical and has no unit term, which sorts first
+    unit = (UNIT, CosineCombination.from_rational(sd.correction))
+    return ClosedForm((unit, *base_form.coefficients))
 
 
 def reflect(c: ClosedForm, r: Fraction) -> ClosedForm:

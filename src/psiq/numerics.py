@@ -15,7 +15,7 @@ Two independent digamma oracles are provided:
 
 The Euler constant is not hard-coded: it is defined as
 -oracle_psi_asymptotic(1), keeping a single source of truth.  Bernoulli
-numbers are computed exactly by the standard binomial recurrence.
+numbers are exact, from integer tangent numbers (Brent & Harvey, 2011).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ BigReal = Any  # mpmath.mpf bound to a per-precision context
 
 _mp_contexts: dict[int, Any] = {}
 _value_cache: dict[tuple, Any] = {}
-_bernoulli: list[Fraction] = [Fraction(1)]
+_bernoulli: list[Fraction] = []  # [B_2, B_4, ...]
 _bernoulli_lock = threading.Lock()
 
 
@@ -121,21 +121,23 @@ def const_gamma(ctx: EvalContext) -> BigReal:
 
 
 def bernoulli_even(k: int) -> Fraction:
-    """Exact B_{2k} (k >= 1) by the recurrence
-    B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j."""
+    """Exact B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) (k >= 1) from tangent numbers
+    built in place by O(n^2) integer steps; a request past the table rebuilds it to
+    max(k, twice its size), which keeps ascending requests O(k^2) in total."""
     if k < 1:
         raise ValueError("bernoulli_even requires k >= 1")
-    m = 2 * k
-    if len(_bernoulli) <= m:
-        with _bernoulli_lock:
-            while len(_bernoulli) <= m:
-                n = len(_bernoulli)
-                s = sum(
-                    (math.comb(n + 1, j) * _bernoulli[j] for j in range(n)),
-                    Fraction(0),
-                )
-                _bernoulli.append(-s / (n + 1))
-    return _bernoulli[m]
+    with _bernoulli_lock:
+        if len(_bernoulli) < k:
+            n = max(k, 2 * len(_bernoulli))
+            t = [0] + [math.factorial(i - 1) for i in range(1, n + 1)]
+            for i in range(2, n + 1):
+                for j in range(i, n + 1):
+                    t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+            _bernoulli.extend(
+                Fraction((-1) ** (i - 1) * 2 * i * t[i], 4**i * (4**i - 1))
+                for i in range(len(_bernoulli) + 1, n + 1)
+            )
+        return _bernoulli[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +261,7 @@ def oracle_psi_asymptotic(r: Fraction, ctx: EvalContext) -> BigReal:
     previous = m.inf
     k = 1
     while True:
-        b = bernoulli_even(k)
-        term = (m.mpf(b.numerator) / b.denominator) / (2 * k * power)
+        term = ctx.from_fraction(bernoulli_even(k)) / (2 * k * power)
         size = abs(term)
         if size < eps or size >= previous:
             break

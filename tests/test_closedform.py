@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,18 @@ class TestEqualsNumeric:
             equals_numeric(psi_closed(half), psi_closed(half), 10)
 
 
+@pytest.fixture
+def default_int_str_limit():
+    """Python's default int->str limit; in-process CLI runs lift it for the
+    whole session."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int->str digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
 class TestRender:
     def test_psi_half_plain(self):
         assert render(psi_closed(half)) == "-gamma - 2*ln(2)"
@@ -292,6 +305,19 @@ class TestRender:
     def test_latex_mentions_standard_symbols(self):
         text = render(psi_closed(Fraction(1, 4)), "latex")
         assert r"\gamma" in text and r"\cot" in text and r"\ln" in text
+
+    def test_big_rational_under_default_int_str_limit(self, default_int_str_limit):
+        form = psi_closed(Fraction(30001, 3))
+        plain, latex = render(form), render(form, "latex")
+        correction = form.coefficient(UNIT).rational
+        sys.set_int_max_str_digits(0)
+        try:
+            num, den = str(correction.numerator), str(correction.denominator)
+        finally:
+            sys.set_int_max_str_digits(4300)
+        assert len(num) > 4300
+        assert plain.startswith(f"{num}/{den} - gamma - ")
+        assert latex.startswith(rf"\frac{{{num}}}{{{den}}} - \gamma - ")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

@@ -19,8 +19,9 @@ from psiq import (
     psi_negative_unit,
     reflect,
 )
-from psiq.closedform import CosineCombination, log_prime, log_sin, pi_cot
+from psiq.closedform import CosineCombination, combine, log_prime, log_sin, pi_cot, unit_form
 from psiq.numerics import comparison_tolerance
+from psiq.rationals import shift_decompose
 
 from conftest import random_rationals
 
@@ -202,6 +203,19 @@ class TestDispatcher:
     def test_pole_message(self):
         with pytest.raises(PoleError, match="digamma pole at non-positive integer"):
             psi_closed(Fraction(-3))
+
+    def test_shifted_form_equals_recanonicalized_sum(self):
+        # psi(base + n) is the base form plus the exact correction as a unit term
+        shifts = (-50, -7, -1, 1, 2, 50)
+        cases = [
+            (Fraction(p, q) + shifts[i % len(shifts)], murty_saradha(p, q))
+            for i, (p, q) in enumerate(coprime_pairs(39))
+        ]
+        gamma_only = ClosedForm.build({GAMMA: cc(-1)})
+        cases += [(Fraction(n), gamma_only) for n in (2, 3, 50)]
+        for r, base_form in cases:
+            correction = shift_decompose(r).correction
+            assert psi_closed(r) == combine(base_form, unit_form(correction), 1, 1), r
 
     def test_recurrence_invariant(self, ctx50):
         # psi(r+1) - psi(r) = 1/r for 200 random non-pole rationals

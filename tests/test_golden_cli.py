@@ -1,0 +1,82 @@
+"""Golden CLI outputs: every stdout byte must match the committed file.
+
+``golden_cli.json`` holds the exit code and stdout of ``psiq eval`` (30 and
+479 digits) and ``psiq exact`` (text, JSON and LaTeX) over a fixed argument
+list.  A change that must leave CLI output untouched (a faster algorithm,
+a refactor, a deletion) is checked against it.  Regenerate the file only when
+an output change is intended, by running this module as a script::
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from psiq.cli import run
+
+GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+
+# 463/11 is 23/11 + 40 (a shifted argument with a small denominator);
+# 30001/3 has a shift correction whose numerator exceeds 4300 digits.
+ARGUMENTS = [
+    "1/2", "-7/3", "12/7", "463/11", "1", "30001/3",
+    "1/3", "-1/2", "5", "3/8", "97/60", "1/97",
+]
+
+
+def golden_argvs() -> list[list[str]]:
+    argvs: list[list[str]] = []
+    for arg in ARGUMENTS:
+        argvs.append(["eval", arg, "--digits", "30"])
+        argvs.append(["eval", arg, "--digits", "30", "--format", "json"])
+        argvs.append(["eval", arg, "--digits", "479"])
+        for fmt in ("text", "json", "latex"):
+            argvs.append(["exact", arg, "--format", fmt])
+    return argvs
+
+
+def _load_cases() -> list[dict]:
+    if not GOLDEN_PATH.exists():  # regenerating; the coverage test fails otherwise
+        return []
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["cases"]
+
+
+def test_golden_file_covers_argument_list():
+    assert [case["argv"] for case in _load_cases()] == golden_argvs()
+
+
+@pytest.mark.parametrize(
+    "case", _load_cases(), ids=lambda case: " ".join(case["argv"])
+)
+def test_cli_output_is_byte_identical(case, capsys):
+    code = run(case["argv"])
+    out = capsys.readouterr().out
+    assert code == case["exit"]
+    assert out.encode("utf-8") == case["stdout"].encode("utf-8")
+
+
+def _regenerate() -> None:
+    """Run each argv in a fresh ``python -m psiq.cli`` and record its stdout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cases = []
+    for argv in golden_argvs():
+        proc = subprocess.run(
+            [sys.executable, "-m", "psiq.cli", *argv],
+            env=env, capture_output=True, check=False,
+        )
+        cases.append(
+            {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout.decode("utf-8")}
+        )
+    GOLDEN_PATH.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()

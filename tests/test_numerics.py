@@ -1,8 +1,13 @@
+import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from psiq import numerics
 from psiq import (
     EvalContext,
     bernoulli_even,
@@ -33,6 +38,26 @@ BERNOULLI_TABLE = [
     Fraction(43867, 798),
     Fraction(-174611, 330),
 ]
+
+
+def recurrence_bernoulli(m_max: int) -> list[Fraction]:
+    """B_0..B_{m_max} by the binomial recurrence
+    B_m = -1/(m+1) sum_{j<m} C(m+1, j) B_j, an independent reference."""
+    b = [Fraction(1)]
+    for m in range(1, m_max + 1):
+        b.append(-sum((math.comb(m + 1, j) * b[j] for j in range(m)), Fraction(0)) / (m + 1))
+    return b
+
+
+def mpmath_bernoulli_even(k: int) -> Fraction:
+    return Fraction(*(int(part) for part in mpmath.bernfrac(2 * k)))
+
+
+@pytest.fixture
+def cleared_bernoulli():
+    """Start from an empty Bernoulli cache; later requests refill it."""
+    with numerics._bernoulli_lock:
+        numerics._bernoulli.clear()
 
 
 class TestEvalContext:
@@ -72,6 +97,11 @@ class TestConstants:
         independent = +mp_reference(70).euler  # Brent-McMillan inside mpmath
         assert abs(const_gamma(ctx50) - independent) < ctx50.mp.mpf(10) ** -45
 
+    def test_gamma_thousand_digits_against_mpmath(self):
+        ctx = EvalContext(1000)
+        independent = +mp_reference(1030).euler
+        assert abs(const_gamma(ctx) - independent) < ctx.mp.mpf(10) ** -990
+
 
 class TestBernoulli:
     def test_first_even_values(self):
@@ -85,6 +115,43 @@ class TestBernoulli:
     def test_requires_positive_index(self):
         with pytest.raises(ValueError):
             bernoulli_even(0)
+
+    def test_matches_mpmath_up_to_b800(self):
+        assert all(bernoulli_even(k) == mpmath_bernoulli_even(k) for k in range(1, 401))
+
+    def test_matches_binomial_recurrence_up_to_b120(self):
+        reference = recurrence_bernoulli(120)
+        assert [bernoulli_even(k) for k in range(1, 61)] == reference[2:121:2]
+
+    def test_large_request_first(self, cleared_bernoulli):
+        high, low = bernoulli_even(300), bernoulli_even(3)
+        assert (high, low) == (mpmath_bernoulli_even(300), Fraction(1, 42))
+
+    def test_ascending_requests_from_empty_cache(self, cleared_bernoulli):
+        values = [bernoulli_even(k) for k in range(1, 301)]
+        assert values == [mpmath_bernoulli_even(k) for k in range(1, 301)]
+
+    def test_concurrent_requests_agree(self, cleared_bernoulli):
+        ks = list(range(1, 301, 7)) + [300, 1, 150]
+        results: list[list[Fraction]] = [[] for _ in range(8)]
+
+        def work(i: int) -> None:
+            order = random.Random(i).sample(ks, len(ks))
+            got = {k: bernoulli_even(k) for k in order}
+            results[i] = [got[k] for k in ks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[mpmath_bernoulli_even(k) for k in ks]] * 8
 
 
 class TestEvalClosedForm:
