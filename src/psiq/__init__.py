@@ -50,7 +50,6 @@ from .rationals import (
     PoleError,
     ShiftDecomposition,
     classify,
-    harmonic,
     parse_rational,
     reduce,
     shift_decompose,
@@ -98,7 +97,6 @@ __all__ = [
     "format_decimal",
     "gauss_1813",
     "gr_variant",
-    "harmonic",
     "load_corpus",
     "log_prime",
     "log_sin",

@@ -219,11 +219,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Dispatch a command line; returns the process exit code."""
-    # exact shift corrections can have numerators beyond the default
-    # int-to-str conversion limit (e.g. `exact 10001/3`)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    """Dispatch a command line; returns the process exit code.
+
+    Python's int<->str digit limit is lifted for the call and restored after.
+    """
+    # a rational argument may have more digits than the default int<->str
+    # limit allows, both where it is parsed and in str(r) of JSON output
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _dispatch(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _dispatch(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _dispatch(argv: Optional[Sequence[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
 

