@@ -14,7 +14,6 @@ from .closedform import (
     BasisTerm,
     ClosedForm,
     CosineCombination,
-    canonicalize,
     combine,
     equals_numeric,
     log_prime,
@@ -30,8 +29,6 @@ from .formulas import (
     murty_saradha,
     nielsen,
     psi_closed,
-    psi_complement,
-    psi_negative_unit,
     reflect,
 )
 from .numerics import (
@@ -83,7 +80,6 @@ __all__ = [
     "bernoulli_even",
     "bundled_corpus_path",
     "bundled_errata_path",
-    "canonicalize",
     "classify",
     "combine",
     "compare_formulas",
@@ -107,8 +103,6 @@ __all__ = [
     "parse_rational",
     "pi_cot",
     "psi_closed",
-    "psi_complement",
-    "psi_negative_unit",
     "reduce",
     "reflect",
     "render",

@@ -39,7 +39,6 @@ __all__ = [
     "CosineCombination",
     "GAMMA",
     "UNIT",
-    "canonicalize",
     "combine",
     "equals_numeric",
     "factor_log_integer",
@@ -88,9 +87,11 @@ class CosineCombination:
     cosines: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
+        previous = 0  # angles strictly increase, so each is stored once
         for angle, coeff in self.cosines:
-            if not (0 < angle < _HALF) or angle == _QUARTER:
+            if not (previous < angle < _HALF) or angle == _QUARTER:
                 raise ValueError(f"non-canonical cosine angle {angle}")
+            previous = angle
             if coeff == 0:
                 raise ValueError("zero cosine coefficient stored")
 
@@ -296,9 +297,8 @@ class ClosedForm:
         acc: dict[BasisTerm, CosineCombination] = {}
 
         def add(term: BasisTerm, coeff: CosineCombination) -> None:
-            if coeff.is_zero:
-                return
-            acc[term] = acc.get(term, CosineCombination()) + coeff
+            prior = acc.get(term)
+            acc[term] = coeff if prior is None else prior + coeff
 
         for term, raw in pairs:
             coeff = _as_combination(raw)
@@ -369,11 +369,6 @@ def combine(a: ClosedForm, b: ClosedForm, scalar_a: Scalar, scalar_b: Scalar) ->
 
 def scale(a: ClosedForm, scalar: Scalar) -> ClosedForm:
     return combine(a, ZERO_FORM, scalar, 0)
-
-
-def canonicalize(c: ClosedForm) -> ClosedForm:
-    """Re-apply all canonicalization rules (idempotent on built forms)."""
-    return ClosedForm.build(c.coefficients)
 
 
 def equals_numeric(a: ClosedForm, b: ClosedForm, digits: int) -> bool:

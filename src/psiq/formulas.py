@@ -1,11 +1,12 @@
 """Closed-form constructors for digamma values at rational arguments.
 
 The base-case engine is the Murty-Saradha form of the classical rational-
-argument theorem; the Gauss (1813) and Nielsen forms are built independently
-so the three can be cross-checked, and the shortened-sum variant printed in
-Gradshteyn-Ryzhik 8.363(6) is kept verbatim for the errata analyzer.  The
-top-level dispatcher :func:`psi_closed` covers every non-pole rational by
-combining the exact unit-shift recurrence with the base-case engine.
+argument theorem; the Gauss (1813) and Nielsen forms are built from their own
+sums so the three can be cross-checked, and the shortened-sum variant printed
+in Gradshteyn-Ryzhik 8.363(6) is kept verbatim for the errata analyzer.  All
+four come from one linear-time builder, :func:`_theorem_form`.  The top-level
+dispatcher :func:`psi_closed` covers every non-pole rational by combining the
+exact unit-shift recurrence with the base-case engine.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .closedform import (
     UNIT,
     BasisTerm,
     ClosedForm,
+    CoeffLike,
     CosineCombination,
     combine,
     factor_log_integer,
@@ -33,12 +35,8 @@ __all__ = [
     "murty_saradha",
     "nielsen",
     "psi_closed",
-    "psi_complement",
-    "psi_negative_unit",
     "reflect",
 ]
-
-Acc = dict[BasisTerm, CosineCombination]
 
 
 def _check_pq(p: int, q: int) -> None:
@@ -50,13 +48,58 @@ def _check_pq(p: int, q: int) -> None:
         raise ValueError(f"require gcd(p, q) = 1, got p={p}, q={q}")
 
 
-def _add(acc: Acc, term: BasisTerm, coeff: CosineCombination) -> None:
-    acc[term] = acc.get(term, CosineCombination()) + coeff
+def _combination(acc: dict[int, int], q: int) -> CosineCombination:
+    """Freeze {k: c} (k = 0 the rational part) as sum_k c*cos(2 pi k/q)."""
+    cosines = tuple((Fraction(k, q), Fraction(c)) for k, c in sorted(acc.items()) if k and c)
+    return CosineCombination(Fraction(acc.get(0, 0)), cosines)
 
 
-def _add_log_integer(acc: Acc, n: int, multiple: Fraction) -> None:
-    for term, exponent in factor_log_integer(n).items():
-        _add(acc, term, CosineCombination.from_rational(exponent * multiple))
+def _theorem_form(
+    p: int,
+    q: int,
+    log_arg: int,
+    upper: int,
+    weight: int,
+    ln2_mass: bool,
+    halve_middle: bool = False,
+) -> ClosedForm:
+    """-gamma - ln(log_arg) - (pi/2)cot(pi p/q)
+    + sum_{j=1}^{upper} w_j cos(2 pi p j/q) [ln sin(pi j/q) + (ln 2 if ln2_mass)],
+
+    with w_j = weight, halved at j = q/2 if halve_middle.  The sum runs in
+    linear time over plain integer maps keyed by numerators over q: ln sin
+    folds j to min(j, q - j), where j = q/2 gives ln sin(pi/2) = 0, and each
+    cosine folds k = p*j mod q into [0, q/2] the way ``from_cos`` does.  The
+    Fractions and combinations are made once, and ``ClosedForm.build``
+    checks and canonicalizes the result.
+    """
+    _check_pq(p, q)
+    log_sins: dict[int, dict[int, int]] = {}
+    ln2: dict[int, int] = {}
+    for j in range(1, upper + 1):
+        w = weight // 2 if halve_middle and 2 * j == q else weight
+        k = p * j % q
+        if 2 * k > q:
+            k = q - k
+        if 4 * k == q:
+            continue  # cos(pi/2) = 0
+        if 2 * k == q:
+            k, w = 0, -w  # cos(pi) = -1; k = 0 is the rational part
+        m = min(j, q - j)
+        if 2 * m != q:
+            acc = log_sins.setdefault(m, {})
+            acc[k] = acc.get(k, 0) + w
+        if ln2_mass:
+            ln2[k] = ln2.get(k, 0) + w
+    items: list[tuple[BasisTerm, CoeffLike]] = [
+        (GAMMA, -1),
+        (pi_cot(Fraction(p, q)), Fraction(-1, 2)),
+        *((term, -exponent) for term, exponent in factor_log_integer(log_arg).items()),
+        *((log_sin(Fraction(m, q)), _combination(acc, q)) for m, acc in log_sins.items()),
+    ]
+    if ln2_mass:
+        items.append((log_prime(2), _combination(ln2, q)))
+    return ClosedForm.build(items)
 
 
 def murty_saradha(p: int, q: int) -> ClosedForm:
@@ -66,14 +109,7 @@ def murty_saradha(p: int, q: int) -> ClosedForm:
     For even q the j = q/2 summand multiplies ln sin(pi/2) = 0 and vanishes
     from the canonical form.
     """
-    _check_pq(p, q)
-    acc: Acc = {GAMMA: CosineCombination.from_rational(-1)}
-    _add_log_integer(acc, 2 * q, Fraction(-1))
-    _add(acc, pi_cot(Fraction(p, q)), CosineCombination.from_rational(Fraction(-1, 2)))
-    for j in range(1, q // 2 + 1):
-        coeff = CosineCombination.from_cos(Fraction(p * j, q), 2)
-        _add(acc, log_sin(Fraction(j, q)), coeff)
-    return ClosedForm.build(acc)
+    return _theorem_form(p, q, 2 * q, q // 2, 2, ln2_mass=False)
 
 
 def gauss_1813(p: int, q: int) -> ClosedForm:
@@ -86,80 +122,20 @@ def gauss_1813(p: int, q: int) -> ClosedForm:
     unlike the doubled-sum form, the halved j = q/2 term contributes real
     2 ln 2 mass here.
     """
-    _check_pq(p, q)
-    acc: Acc = {GAMMA: CosineCombination.from_rational(-1)}
-    _add_log_integer(acc, q, Fraction(-1))
-    _add(acc, pi_cot(Fraction(p, q)), CosineCombination.from_rational(Fraction(-1, 2)))
-    for j in range(1, q // 2 + 1):
-        coeff = CosineCombination.from_cos(Fraction(p * j, q), 1)
-        if q % 2 == 0 and j == q // 2:
-            coeff = coeff * Fraction(1, 2)
-        doubled = coeff * 2
-        _add(acc, log_prime(2), doubled)
-        _add(acc, log_sin(Fraction(j, q)), doubled)
-    return ClosedForm.build(acc)
+    return _theorem_form(p, q, q, q // 2, 2, ln2_mass=True, halve_middle=True)
 
 
 def nielsen(p: int, q: int) -> ClosedForm:
     """-gamma - ln q - (pi/2)cot(pi p/q)
     + sum_{j=1}^{q-1} cos(2 pi p j/q) [ln 2 + ln sin(pi j/q)]."""
-    _check_pq(p, q)
-    acc: Acc = {GAMMA: CosineCombination.from_rational(-1)}
-    _add_log_integer(acc, q, Fraction(-1))
-    _add(acc, pi_cot(Fraction(p, q)), CosineCombination.from_rational(Fraction(-1, 2)))
-    for j in range(1, q):
-        coeff = CosineCombination.from_cos(Fraction(p * j, q), 1)
-        _add(acc, log_prime(2), coeff)
-        _add(acc, log_sin(Fraction(j, q)), coeff)
-    return ClosedForm.build(acc)
+    return _theorem_form(p, q, q, q - 1, 1, ln2_mass=True)
 
 
 def gr_variant(p: int, q: int) -> ClosedForm:
     """The Murty-Saradha form with upper limit floor((q+1)/2) - 1, exactly as
     printed in Gradshteyn-Ryzhik 8.363(6); kept uncorrected so the errata
     analyzer can measure any discrepancy."""
-    _check_pq(p, q)
-    acc: Acc = {GAMMA: CosineCombination.from_rational(-1)}
-    _add_log_integer(acc, 2 * q, Fraction(-1))
-    _add(acc, pi_cot(Fraction(p, q)), CosineCombination.from_rational(Fraction(-1, 2)))
-    for j in range(1, (q + 1) // 2):
-        coeff = CosineCombination.from_cos(Fraction(p * j, q), 2)
-        _add(acc, log_sin(Fraction(j, q)), coeff)
-    return ClosedForm.build(acc)
-
-
-def psi_complement(p: int, q: int) -> ClosedForm:
-    """Closed form of psi((q-p)/q): the base form with the cotangent sign
-    flipped (+(pi/2)cot(pi p/q))."""
-    _check_pq(p, q)
-    acc: Acc = {GAMMA: CosineCombination.from_rational(-1)}
-    _add_log_integer(acc, 2 * q, Fraction(-1))
-    _add(acc, pi_cot(Fraction(p, q)), CosineCombination.from_rational(Fraction(1, 2)))
-    for j in range(1, q // 2 + 1):
-        coeff = CosineCombination.from_cos(Fraction(p * j, q), 2)
-        _add(acc, log_sin(Fraction(j, q)), coeff)
-    return ClosedForm.build(acc)
-
-
-def psi_negative_unit(p: int, q: int) -> ClosedForm:
-    """Closed form of psi(-p/q) for 1 <= p < q:
-    q/p - gamma - ln(2q) - (pi/2)cot(pi (q-p)/q)
-    + 2 sum_{j=1}^{floor(q/2)} cos(2 pi (q-p) j/q) ln sin(pi j/q)."""
-    _check_pq(p, q)
-    acc: Acc = {
-        UNIT: CosineCombination.from_rational(Fraction(q, p)),
-        GAMMA: CosineCombination.from_rational(-1),
-    }
-    _add_log_integer(acc, 2 * q, Fraction(-1))
-    _add(
-        acc,
-        pi_cot(Fraction(q - p, q)),
-        CosineCombination.from_rational(Fraction(-1, 2)),
-    )
-    for j in range(1, q // 2 + 1):
-        coeff = CosineCombination.from_cos(Fraction((q - p) * j, q), 2)
-        _add(acc, log_sin(Fraction(j, q)), coeff)
-    return ClosedForm.build(acc)
+    return _theorem_form(p, q, 2 * q, (q + 1) // 2 - 1, 2, ln2_mass=False)
 
 
 def psi_closed(r: Fraction) -> ClosedForm:

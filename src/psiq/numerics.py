@@ -20,6 +20,7 @@ numbers are exact, from integer tangent numbers (Brent & Harvey, 2011).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -49,18 +50,60 @@ GUARD_DIGITS = 15
 
 BigReal = Any  # mpmath.mpf bound to a per-precision context
 
-_mp_contexts: dict[int, Any] = {}
-_value_cache: dict[tuple, Any] = {}
+_mp_contexts = threading.local()  # .by_dps: this thread's {dps: context}
+_VALUE_CACHE_SIZE = 16384
 _bernoulli: list[Fraction] = []  # [B_2, B_4, ...]
 _bernoulli_lock = threading.Lock()
 
 
+@functools.lru_cache(maxsize=_VALUE_CACHE_SIZE)
+def _constant(key: tuple) -> BigReal:
+    """The constant a key names: (workdps, "pi"), (digits, guard, "gamma"),
+    (workdps, "cos2pi", angle) for cos(2*pi*angle), or (workdps, kind, arg)
+    for a picot, logprime or logsin basis term.
+
+    A miss computes in the asking thread's context, so a hit may return
+    another thread's value (see :func:`_own`).  functools' LRU is bounded
+    and thread-safe and hashes a key once per hit; an OrderedDict would hash
+    it again to move it to the end, and a Fraction's hash is Python code.
+    """
+    if key[-1] == "gamma":
+        return -oracle_psi_asymptotic(Fraction(1), EvalContext(key[0], key[1]))
+    m = _mp_for(key[0])
+    kind = key[1]
+    if kind == "pi":
+        return +m.pi
+    if kind == "logprime":
+        return m.log(key[2])
+    x = m.mpf(key[2].numerator) / key[2].denominator
+    if kind == "cos2pi":
+        return m.cos(2 * m.pi * x)
+    if kind == "picot":
+        return m.pi * m.cot(m.pi * x)
+    if kind == "logsin":
+        return m.log(m.sin(m.pi * x))
+    raise ValueError(f"unknown basis term kind {kind!r}")
+
+
+def _own(v: BigReal, ctx: "EvalContext") -> BigReal:
+    """``v`` in this thread's context at ``ctx``'s precision: the left operand's
+    context sets the precision of an mpmath operation."""
+    m = ctx.mp
+    return v if v.context is m else m.make_mpf(v._mpf_)
+
+
 def _mp_for(dps: int):
-    ctx = _mp_contexts.get(dps)
-    if ctx is None:
-        ctx = mpmath.mp.clone()
-        ctx.dps = dps
-        _mp_contexts[dps] = ctx
+    """This thread's mpmath context at ``dps`` digits.  Threads do not share
+    contexts because some mpmath functions (cot among them) raise the
+    context's precision while they run and restore it afterwards."""
+    try:
+        return _mp_contexts.by_dps[dps]
+    except AttributeError:
+        _mp_contexts.by_dps = {}
+    except KeyError:
+        pass
+    ctx = _mp_contexts.by_dps[dps] = mpmath.mp.clone()
+    ctx.dps = dps
     return ctx
 
 
@@ -83,7 +126,7 @@ class EvalContext:
 
     @property
     def mp(self):
-        """The mpmath context at working precision (shared per precision)."""
+        """This thread's mpmath context at working precision."""
         return _mp_for(self.workdps)
 
     def from_fraction(self, value: Fraction) -> BigReal:
@@ -97,22 +140,12 @@ def comparison_tolerance(ctx: EvalContext) -> BigReal:
 
 def const_pi(ctx: EvalContext) -> BigReal:
     """pi at the context's working precision."""
-    key = (ctx.workdps, "pi")
-    v = _value_cache.get(key)
-    if v is None:
-        v = +ctx.mp.pi
-        _value_cache[key] = v
-    return v
+    return _own(_constant((ctx.workdps, "pi")), ctx)
 
 
 def const_gamma(ctx: EvalContext) -> BigReal:
     """The Euler constant, defined as -psi(1) via the asymptotic oracle."""
-    key = (ctx.digits, ctx.guard, "gamma")
-    v = _value_cache.get(key)
-    if v is None:
-        v = -oracle_psi_asymptotic(Fraction(1), ctx)
-        _value_cache[key] = v
-    return v
+    return _own(_constant((ctx.digits, ctx.guard, "gamma")), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -146,43 +179,17 @@ def bernoulli_even(k: int) -> Fraction:
 
 
 def _basis_value(term, ctx: EvalContext) -> BigReal:
-    m = ctx.mp
     if term.kind == "unit":
-        return m.mpf(1)
+        return ctx.mp.mpf(1)
     if term.kind == "gamma":
         return const_gamma(ctx)
-    key = (ctx.workdps, term.kind, term.arg)
-    v = _value_cache.get(key)
-    if v is not None:
-        return v
-    if term.kind == "picot":
-        x = ctx.from_fraction(term.arg)
-        v = m.pi * m.cot(m.pi * x)
-    elif term.kind == "logprime":
-        v = m.log(term.arg)
-    elif term.kind == "logsin":
-        x = ctx.from_fraction(term.arg)
-        v = m.log(m.sin(m.pi * x))
-    else:
-        raise ValueError(f"unknown basis term kind {term.kind!r}")
-    _value_cache[key] = v
-    return v
-
-
-def _cos_value(angle: Fraction, ctx: EvalContext) -> BigReal:
-    key = (ctx.workdps, "cos2pi", angle)
-    v = _value_cache.get(key)
-    if v is None:
-        m = ctx.mp
-        v = m.cos(2 * m.pi * ctx.from_fraction(angle))
-        _value_cache[key] = v
-    return v
+    return _constant((ctx.workdps, term.kind, term.arg))
 
 
 def eval_cosine_combination(c: CosineCombination, ctx: EvalContext) -> BigReal:
     total = ctx.from_fraction(c.rational)
     for angle, coeff in c.cosines:
-        total += ctx.from_fraction(coeff) * _cos_value(angle, ctx)
+        total += ctx.from_fraction(coeff) * _constant((ctx.workdps, "cos2pi", angle))
     return total
 
 

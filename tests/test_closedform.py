@@ -11,7 +11,6 @@ from psiq import (
     ClosedForm,
     CosineCombination,
     EvalContext,
-    canonicalize,
     combine,
     equals_numeric,
     eval_closed_form,
@@ -51,6 +50,13 @@ class TestCosineCombination:
     def test_cos_quarter_turn_vanishes(self):
         assert CosineCombination.from_cos(Fraction(1, 4), 5).is_zero
         assert CosineCombination.from_cos(Fraction(3, 4), 5).is_zero
+
+    def test_unsorted_or_repeated_angles_rejected(self):
+        one, fifth, seventh = Fraction(1), Fraction(1, 5), Fraction(1, 7)
+        with pytest.raises(ValueError, match="non-canonical cosine angle"):
+            CosineCombination(Fraction(0), ((fifth, one), (seventh, one)))
+        with pytest.raises(ValueError, match="non-canonical cosine angle"):
+            CosineCombination(Fraction(0), ((seventh, one), (seventh, one)))
 
     def test_reflection_fold(self):
         # cos(2*pi*(1-x)) = cos(2*pi*x)
@@ -183,6 +189,14 @@ class TestCanonicalize:
     def test_logsin_half_deleted(self):
         assert ClosedForm.build({log_sin(half): cc(7)}).is_zero
 
+    def test_repeated_terms_merged(self):
+        fifth = CosineCombination.from_cos(Fraction(1, 5))
+        seventh = CosineCombination.from_cos(Fraction(1, 7))
+        form = ClosedForm.build(
+            [(log_sin(Fraction(1, 3)), fifth), (log_sin(Fraction(2, 3)), seventh)]
+        )
+        assert form.coefficients == ((log_sin(Fraction(1, 3)), fifth + seventh),)
+
     def test_zero_coefficients_dropped(self):
         form = ClosedForm.build({GAMMA: cc(0), UNIT: cc(2)})
         assert form == unit_form(2)
@@ -190,7 +204,7 @@ class TestCanonicalize:
     def test_idempotent_on_random_forms(self):
         for r in random_rationals(25, seed=99):
             form = psi_closed(r)
-            assert canonicalize(form) == form
+            assert ClosedForm.build(form.coefficients) == form
 
     def test_value_preserving(self, ctx30):
         raw = ClosedForm.build(
@@ -200,7 +214,7 @@ class TestCanonicalize:
                 GAMMA: cc(-1),
             }
         )
-        assert equals_numeric(raw, canonicalize(raw), 30)
+        assert equals_numeric(raw, ClosedForm.build(raw.coefficients), 30)
 
     def test_prime_validation(self):
         with pytest.raises(ValueError):
@@ -267,7 +281,7 @@ class TestEqualsNumeric:
 
     def test_canonicalization_preserves_value(self):
         x = psi_closed(Fraction(-7, 3))
-        assert equals_numeric(x, canonicalize(x), 30)
+        assert equals_numeric(x, ClosedForm.build(x.coefficients), 30)
 
     def test_minimum_digits_enforced(self):
         with pytest.raises(ValueError):

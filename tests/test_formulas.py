@@ -15,11 +15,18 @@ from psiq import (
     murty_saradha,
     nielsen,
     psi_closed,
-    psi_complement,
-    psi_negative_unit,
     reflect,
+    render,
 )
-from psiq.closedform import CosineCombination, combine, log_prime, log_sin, pi_cot, unit_form
+from psiq.closedform import (
+    CosineCombination,
+    combine,
+    factor_log_integer,
+    log_prime,
+    log_sin,
+    pi_cot,
+    unit_form,
+)
 from psiq.numerics import comparison_tolerance
 from psiq.rationals import shift_decompose
 
@@ -39,18 +46,106 @@ def coprime_pairs(qmax):
                 yield p, q
 
 
+# The four constructions accumulated term by term through CosineCombination
+# addition, the reference for the linear-time builder in ``psiq.formulas``.
+
+def _add(acc, term, coeff):
+    acc[term] = acc.get(term, CosineCombination()) + coeff
+
+
+def _reference_head(log_arg, p, q):
+    acc = {GAMMA: CosineCombination.from_rational(-1)}
+    for term, exponent in factor_log_integer(log_arg).items():
+        _add(acc, term, CosineCombination.from_rational(-exponent))
+    _add(acc, pi_cot(Fraction(p, q)), CosineCombination.from_rational(Fraction(-1, 2)))
+    return acc
+
+
+def reference_murty_saradha(p, q, upper=None):
+    acc = _reference_head(2 * q, p, q)
+    for j in range(1, (q // 2 if upper is None else upper) + 1):
+        _add(acc, log_sin(Fraction(j, q)), CosineCombination.from_cos(Fraction(p * j, q), 2))
+    return ClosedForm.build(acc)
+
+
+def reference_gr_variant(p, q):
+    return reference_murty_saradha(p, q, upper=(q + 1) // 2 - 1)
+
+
+def reference_gauss_1813(p, q):
+    acc = _reference_head(q, p, q)
+    for j in range(1, q // 2 + 1):
+        coeff = CosineCombination.from_cos(Fraction(p * j, q), 1)
+        if q % 2 == 0 and j == q // 2:
+            coeff = coeff * Fraction(1, 2)
+        doubled = coeff * 2
+        _add(acc, log_prime(2), doubled)
+        _add(acc, log_sin(Fraction(j, q)), doubled)
+    return ClosedForm.build(acc)
+
+
+def reference_nielsen(p, q):
+    acc = _reference_head(q, p, q)
+    for j in range(1, q):
+        coeff = CosineCombination.from_cos(Fraction(p * j, q), 1)
+        _add(acc, log_prime(2), coeff)
+        _add(acc, log_sin(Fraction(j, q)), coeff)
+    return ClosedForm.build(acc)
+
+
+REFERENCES = [
+    (murty_saradha, reference_murty_saradha),
+    (gauss_1813, reference_gauss_1813),
+    (nielsen, reference_nielsen),
+    (gr_variant, reference_gr_variant),
+]
+
+
 @pytest.fixture(scope="module")
 def tol50(ctx50):
     return comparison_tolerance(ctx50)
 
 
 class TestPreconditions:
-    @pytest.mark.parametrize("fn", [murty_saradha, gauss_1813, nielsen, gr_variant,
-                                    psi_complement, psi_negative_unit])
+    @pytest.mark.parametrize("fn", [murty_saradha, gauss_1813, nielsen, gr_variant])
     @pytest.mark.parametrize("p,q", [(2, 4), (0, 3), (3, 3), (4, 3), (1, 1), (-1, 3)])
     def test_bad_pairs_rejected(self, fn, p, q):
         with pytest.raises(ValueError):
             fn(p, q)
+
+    @pytest.mark.parametrize("side", ["complement", "negative"])
+    @pytest.mark.parametrize("p,q", [(2, 4), (0, 3), (3, 3), (4, 3), (1, 1), (-1, 3)])
+    def test_dispatcher_at_bad_pairs(self, side, p, q):
+        # psi_closed reduces any p/q and raises only at the poles 0, -1, -2, ...
+        x = Fraction(p, q)
+        r = 1 - x if side == "complement" else -x
+        if r.denominator == 1 and r <= 0:
+            with pytest.raises(PoleError):
+                psi_closed(r)
+        elif x.denominator == 1:
+            assert psi_closed(r) == ClosedForm.build({GAMMA: cc(-1)})  # psi(1 - 0)
+        elif side == "complement":
+            assert psi_closed(r) == reflect(psi_closed(x), x)
+        else:
+            assert psi_closed(r) == combine(psi_closed(1 - x), unit_form(1 / x), 1, 1)
+
+
+class TestBuilderMatchesReference:
+    def test_every_reduced_pair_to_q60(self):
+        for p, q in coprime_pairs(60):
+            for fn, reference in REFERENCES:
+                form, expected = fn(p, q), reference(p, q)
+                assert form == expected, (fn.__name__, p, q)
+                assert render(form) == render(expected), (fn.__name__, p, q)
+
+    @pytest.mark.parametrize("q", [2999, 3001])
+    def test_large_prime_denominators(self, q):
+        pairs = [(murty_saradha, reference_murty_saradha), (gr_variant, reference_gr_variant)]
+        for p in (1, 2, 1000, q // 2, q - 1):
+            for fn, reference in pairs:
+                form, expected = fn(p, q), reference(p, q)
+                assert form == expected, (fn.__name__, p, q)
+                assert render(form) == render(expected), (fn.__name__, p, q)
 
 
 class TestMurtySaradha:
@@ -229,40 +324,44 @@ class TestDispatcher:
 
 class TestComplementAndNegative:
     def test_complement_examples(self, ctx50, tol50):
+        # psi((q - p)/q) for p/q = 1/3 and 3/8
         m = ctx50.mp
         reference = (
             -const_gamma(ctx50) + m.sqrt(3) * const_pi(ctx50) / 6 - m.mpf(3) / 2 * m.log(3)
         )
-        assert abs(eval_closed_form(psi_complement(1, 3), ctx50) - reference) < tol50
-        assert psi_complement(1, 2) == psi_closed(half)
+        assert abs(eval_closed_form(psi_closed(Fraction(2, 3)), ctx50) - reference) < tol50
         ref58 = (
             -const_gamma(ctx50)
             + (m.sqrt(2) - 1) * const_pi(ctx50) / 2
             - 4 * m.log(2)
             + m.sqrt(2) * m.log(1 + m.sqrt(2))
         )
-        assert abs(eval_closed_form(psi_complement(3, 8), ctx50) - ref58) < tol50
+        assert abs(eval_closed_form(psi_closed(Fraction(5, 8)), ctx50) - ref58) < tol50
 
     def test_negative_unit_examples(self, ctx50, tol50):
         m = ctx50.mp
         ref_half = 2 - const_gamma(ctx50) - 2 * m.log(2)
-        assert abs(eval_closed_form(psi_negative_unit(1, 2), ctx50) - ref_half) < tol50
+        assert abs(eval_closed_form(psi_closed(Fraction(-1, 2)), ctx50) - ref_half) < tol50
         ref_23 = (
             -const_gamma(ctx50)
             + m.mpf(3) / 2
             - const_pi(ctx50) * m.sqrt(3) / 6
             - m.mpf(3) / 2 * m.log(3)
         )
-        assert abs(eval_closed_form(psi_negative_unit(2, 3), ctx50) - ref_23) < tol50
+        assert abs(eval_closed_form(psi_closed(Fraction(-2, 3)), ctx50) - ref_23) < tol50
         ref_34 = (
             -const_gamma(ctx50) + m.mpf(4) / 3 - const_pi(ctx50) / 2 - 3 * m.log(2)
         )
-        assert abs(eval_closed_form(psi_negative_unit(3, 4), ctx50) - ref_34) < tol50
+        assert abs(eval_closed_form(psi_closed(Fraction(-3, 4)), ctx50) - ref_34) < tol50
 
     def test_specializations_match_dispatcher_structurally(self):
-        for p, q in coprime_pairs(24):
-            assert psi_complement(p, q) == psi_closed(Fraction(q - p, q)), (p, q)
-            assert psi_negative_unit(p, q) == psi_closed(Fraction(-p, q)), (p, q)
+        # psi(1 - x) = psi(x) + pi cot(pi x) and psi(-x) = psi(1 - x) + 1/x
+        for p, q in coprime_pairs(40):
+            x = Fraction(p, q)
+            complement = psi_closed(1 - x)
+            assert complement == reflect(psi_closed(x), x), (p, q)
+            negative = combine(complement, unit_form(Fraction(q, p)), 1, 1)
+            assert psi_closed(-x) == negative, (p, q)
 
 
 class TestReflect:

@@ -2,9 +2,11 @@
 
 ``golden_cli.json`` holds the exit code and stdout of ``psiq eval`` (30 and
 479 digits) and ``psiq exact`` (text, JSON and LaTeX) over a fixed argument
-list.  A change that must leave CLI output untouched (a faster algorithm,
-a refactor, a deletion) is checked against it.  Regenerate the file only when
-an output change is intended, by running this module as a script::
+list, then of the sweeps ``compare`` and ``errata`` (q <= 12) and
+``table-check`` at 30 digits in text and JSON.  A change that must leave CLI
+output untouched (a faster algorithm, a refactor, a deletion) is checked
+against it.  Regenerate the file only when an output change is intended, by
+running this module as a script::
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -39,6 +41,9 @@ def golden_argvs() -> list[list[str]]:
         argvs.append(["eval", arg, "--digits", "479"])
         for fmt in ("text", "json", "latex"):
             argvs.append(["exact", arg, "--format", fmt])
+    for sweep in (["compare", "--qmax", "12"], ["errata", "--qmax", "12"], ["table-check"]):
+        for fmt in ("text", "json"):
+            argvs.append([*sweep, "--digits", "30", "--format", fmt])
     return argvs
 
 

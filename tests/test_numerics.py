@@ -177,6 +177,66 @@ class TestEvalClosedForm:
         assert format_decimal(lo, 25) == format_decimal(hi, 25)
 
 
+def cache_size() -> int:
+    return numerics._constant.cache_info().currsize
+
+
+class TestValueCache:
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """Evaluate psi(1/2999) from an empty cache, then six more forms at
+        q near 3000 (about 3000 entries each), then psi(1/2999) again."""
+        ctx = EvalContext(20)
+        numerics._constant.cache_clear()
+        first = psi_closed(Fraction(1, 2999))
+        cold = eval_closed_form(first, ctx)
+        sizes = []
+        for q in (3001, 3011, 3019, 3023, 3037, 3041):
+            eval_closed_form(psi_closed(Fraction(2, q)), ctx)
+            sizes.append(cache_size())
+        misses = numerics._constant.cache_info().misses
+        recomputed = eval_closed_form(first, ctx)
+        return cold, sizes, numerics._constant.cache_info().misses - misses, recomputed
+
+    def test_size_never_exceeds_bound(self, sweep):
+        _, sizes, _, _ = sweep
+        assert max(sizes) <= numerics._VALUE_CACHE_SIZE
+        assert sizes[-1] == numerics._VALUE_CACHE_SIZE  # the sweep did fill it
+
+    def test_recomputed_value_equals_cold_value(self, sweep):
+        cold, _, misses, recomputed = sweep
+        assert misses >= 2 * 1499  # its ln sin and cosine values were evicted
+        assert recomputed == cold
+
+    def test_threads_match_serial_run(self):
+        # eight forms of about 3000 entries each overflow the cache, so the
+        # threads evict one another's entries
+        ctx = EvalContext(20)
+        qs = (2999, 3001, 3011, 3019, 3023, 3037, 3041, 3049)
+        forms = [psi_closed(Fraction(i + 1, q)) for i, q in enumerate(qs)]
+        numerics._constant.cache_clear()
+        serial = [eval_closed_form(form, ctx) for form in forms]
+        numerics._constant.cache_clear()
+        results: list[list] = [[] for _ in forms]
+
+        def work(i: int) -> None:
+            results[i] = [eval_closed_form(forms[i], ctx) for _ in range(2)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(forms))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[value] * 2 for value in serial]
+        assert cache_size() == numerics._VALUE_CACHE_SIZE
+
+
 class TestSeriesOracle:
     def test_telescoping_at_one(self):
         ctx = EvalContext(15)
