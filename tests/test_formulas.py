@@ -106,28 +106,38 @@ def tol50(ctx50):
     return comparison_tolerance(ctx50)
 
 
+# The replacement calls for the removed ``psi_complement`` and
+# ``psi_negative_unit``, named after them so their cases keep their names.
+
+def psi_complement(p, q):
+    return psi_closed(Fraction(q - p, q))
+
+
+def psi_negative_unit(p, q):
+    return psi_closed(Fraction(-p, q))
+
+
 class TestPreconditions:
-    @pytest.mark.parametrize("fn", [murty_saradha, gauss_1813, nielsen, gr_variant])
+    @pytest.mark.parametrize("fn", [murty_saradha, gauss_1813, nielsen, gr_variant,
+                                    psi_complement, psi_negative_unit])
     @pytest.mark.parametrize("p,q", [(2, 4), (0, 3), (3, 3), (4, 3), (1, 1), (-1, 3)])
     def test_bad_pairs_rejected(self, fn, p, q):
+        if fn in (psi_complement, psi_negative_unit):
+            # psi_closed reduces any p/q and rejects only the poles 0, -1, -2, ...
+            x = Fraction(p, q)
+            r = 1 - x if fn is psi_complement else -x
+            if r.denominator == 1 and r <= 0:
+                with pytest.raises(PoleError):
+                    fn(p, q)
+            elif x.denominator == 1:
+                assert fn(p, q) == ClosedForm.build({GAMMA: cc(-1)})  # psi(1 - 0)
+            elif fn is psi_complement:
+                assert fn(p, q) == reflect(psi_closed(x), x)
+            else:
+                assert fn(p, q) == combine(psi_closed(1 - x), unit_form(1 / x), 1, 1)
+            return
         with pytest.raises(ValueError):
             fn(p, q)
-
-    @pytest.mark.parametrize("side", ["complement", "negative"])
-    @pytest.mark.parametrize("p,q", [(2, 4), (0, 3), (3, 3), (4, 3), (1, 1), (-1, 3)])
-    def test_dispatcher_at_bad_pairs(self, side, p, q):
-        # psi_closed reduces any p/q and raises only at the poles 0, -1, -2, ...
-        x = Fraction(p, q)
-        r = 1 - x if side == "complement" else -x
-        if r.denominator == 1 and r <= 0:
-            with pytest.raises(PoleError):
-                psi_closed(r)
-        elif x.denominator == 1:
-            assert psi_closed(r) == ClosedForm.build({GAMMA: cc(-1)})  # psi(1 - 0)
-        elif side == "complement":
-            assert psi_closed(r) == reflect(psi_closed(x), x)
-        else:
-            assert psi_closed(r) == combine(psi_closed(1 - x), unit_form(1 / x), 1, 1)
 
 
 class TestBuilderMatchesReference:
