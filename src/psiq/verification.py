@@ -65,6 +65,19 @@ class TableEntry:
     source: str
 
 
+def diff_text(diff: BigReal, digits: int) -> str:
+    """|diff| to 6 significant digits for a report at ``digits`` digits.
+
+    Values are evaluated at digits + guard working digits, so two equal
+    quantities may differ by rounding noise far below the reported digits;
+    any difference below 10^-(digits+5) prints as 0.0, so the text does not
+    change with the summation order.
+    """
+    if diff < mpmath.mpf(10) ** -(digits + 5):
+        return "0.0"
+    return mpmath.nstr(diff, 6)
+
+
 @dataclass(frozen=True)
 class CaseResult:
     argument: str
@@ -73,12 +86,12 @@ class CaseResult:
     abs_diff: BigReal
     passed: bool
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, digits: int) -> dict:
         return {
             "argument": self.argument,
             "formulaA": self.formula_a,
             "formulaB": self.formula_b,
-            "absDiff": mpmath.nstr(self.abs_diff, 6),
+            "absDiff": diff_text(self.abs_diff, digits),
             "pass": self.passed,
         }
 
@@ -114,11 +127,11 @@ class ComparisonReport:
             status = "PASS" if case.passed else "FAIL"
             lines.append(
                 f"  {status}  {case.argument:>8}  {case.formula_a} vs {case.formula_b}"
-                f"  |diff| = {mpmath.nstr(case.abs_diff, 6)}"
+                f"  |diff| = {diff_text(case.abs_diff, self.digits)}"
             )
         lines.append(
             f"  summary: {len(self.cases)} cases over {self.argument_count} arguments,"
-            f" max |diff| = {mpmath.nstr(self.max_abs_diff, 6)},"
+            f" max |diff| = {diff_text(self.max_abs_diff, self.digits)},"
             f" {'all pass' if self.all_pass else 'FAILURES PRESENT'}"
         )
         for note in self.notes:
@@ -129,11 +142,11 @@ class ComparisonReport:
         return {
             "title": self.title,
             "digits": self.digits,
-            "cases": [case.to_json_dict() for case in self.cases],
+            "cases": [case.to_json_dict(self.digits) for case in self.cases],
             "summary": {
                 "caseCount": len(self.cases),
                 "argumentCount": self.argument_count,
-                "maxAbsDiff": mpmath.nstr(self.max_abs_diff, 6),
+                "maxAbsDiff": diff_text(self.max_abs_diff, self.digits),
                 "allPass": self.all_pass,
             },
             "notes": list(self.notes),

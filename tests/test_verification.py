@@ -18,6 +18,7 @@ from psiq import (
 )
 from psiq.expressions import eval_const_expr, parse_const_expr
 from psiq.numerics import comparison_tolerance
+from psiq.verification import CaseResult, ComparisonReport, diff_text
 
 from conftest import reference_digamma
 
@@ -177,6 +178,27 @@ class TestCompareFormulas:
             data["cases"][0]
         )
         assert data["summary"]["argumentCount"] == totient_sum(3)
+
+
+class TestDiffText:
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_rounding_noise_prints_zero(self, digits):
+        noise = mpmath.mpf(10) ** -(digits + 6)
+        assert diff_text(noise, digits) == "0.0"
+        case = CaseResult("1/3", "a", "b", noise, True)
+        report = ComparisonReport("t", digits, (case,))
+        assert "|diff| = 0.0" in report.to_text()
+        assert "max |diff| = 0.0," in report.to_text()
+        data = json.loads(report.to_json())
+        assert data["cases"][0]["absDiff"] == data["summary"]["maxAbsDiff"] == "0.0"
+        assert case.abs_diff == noise  # only the text is rounded
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_difference_above_noise_prints_digits(self, digits):
+        diff = 3 * mpmath.mpf(10) ** -(digits + 4)
+        text = diff_text(diff, digits)
+        assert text == mpmath.nstr(diff, 6) and text != "0.0"
+        assert float(text) == pytest.approx(float(diff))
 
 
 class TestErrataGr:
