@@ -30,7 +30,7 @@ from typing import Any
 import mpmath
 
 from .closedform import ClosedForm, CosineCombination
-from .rationals import ArgumentClass, PoleError, classify, shift_decompose
+from .rationals import ArgumentClass, PoleError, classify, shift_decompose, upward_sum
 
 __all__ = [
     "EvalContext",
@@ -258,7 +258,7 @@ def oracle_psi_asymptotic(r: Fraction, ctx: EvalContext) -> BigReal:
     m = ctx.mp
     x_min = max(20, ctx.digits)
     steps = max(0, math.ceil(x_min - r))
-    correction = sum((Fraction(1, 1) / (r + k) for k in range(steps)), Fraction(0))
+    correction = upward_sum(r, steps)
     x_exact = r + steps
     x = ctx.from_fraction(x_exact)
     value = m.log(x) - 1 / (2 * x)

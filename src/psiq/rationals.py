@@ -21,6 +21,7 @@ __all__ = [
     "parse_rational",
     "reduce",
     "shift_decompose",
+    "upward_sum",
 ]
 
 
@@ -105,6 +106,18 @@ def _reciprocal_sum(a: int, c: int, lo: int, hi: int) -> tuple[int, int]:
     return p1 * q2 + p2 * q1, q1 * q2
 
 
+def upward_sum(x: Fraction, n: int) -> Fraction:
+    """Sum of 1/(x + k) for 0 <= k < n, by binary splitting (0 for n = 0).
+
+    With x = a/c the sum is c * sum of 1/(a + c*k); no term may be 1/0.
+    """
+    if n == 0:
+        return Fraction(0)
+    a, c = x.numerator, x.denominator
+    p, q = _reciprocal_sum(a, c, 0, n)
+    return Fraction(c * p, q)
+
+
 def shift_decompose(r: Fraction) -> ShiftDecomposition:
     """Decompose a non-pole rational as psi(r) = psi(base) + correction, base in (0,1].
 
@@ -130,6 +143,4 @@ def shift_decompose(r: Fraction) -> ShiftDecomposition:
         n = math.ceil(-r)
         base = r + n
         sign, x = -1, r
-    a, c = x.numerator, x.denominator
-    p, q = _reciprocal_sum(a, c, 0, n)
-    return ShiftDecomposition(base=base, correction=Fraction(sign * c * p, q), step_count=n)
+    return ShiftDecomposition(base=base, correction=sign * upward_sum(x, n), step_count=n)

@@ -21,7 +21,7 @@ from psiq import (
 )
 from psiq.closedform import ClosedForm
 from psiq.numerics import comparison_tolerance
-from psiq.rationals import PoleError
+from psiq.rationals import PoleError, upward_sum
 
 from conftest import machin_pi, mp_reference, random_rationals, reference_digamma
 
@@ -47,6 +47,12 @@ def recurrence_bernoulli(m_max: int) -> list[Fraction]:
     for m in range(1, m_max + 1):
         b.append(-sum((math.comb(m + 1, j) * b[j] for j in range(m)), Fraction(0)) / (m + 1))
     return b
+
+
+def sequential_upward_sum(r: Fraction, steps: int) -> Fraction:
+    """sum of 1/(r + k) for k < steps one Fraction at a time, as the asymptotic
+    oracle once summed its shift correction: the reference for binary splitting."""
+    return sum((Fraction(1, 1) / (r + k) for k in range(steps)), Fraction(0))
 
 
 def mpmath_bernoulli_even(k: int) -> Fraction:
@@ -294,6 +300,23 @@ class TestAsymptoticOracle:
     def test_pole_rejected(self, ctx30):
         with pytest.raises(PoleError):
             oracle_psi_asymptotic(Fraction(-4), ctx30)
+
+    @pytest.mark.parametrize("digits", [30, 479, 1000])
+    @pytest.mark.parametrize(
+        "r", [Fraction(1), Fraction(1, 3), Fraction(-7, 3), Fraction(25, 2), Fraction(100)]
+    )
+    def test_shift_correction_matches_sequential_sum(self, r, digits, monkeypatch):
+        calls = []
+
+        def recorded(x, n):
+            calls.append((x, n, upward_sum(x, n)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(numerics, "upward_sum", recorded)
+        oracle_psi_asymptotic(r, EvalContext(digits))
+        [(x, steps, correction)] = calls
+        assert (x, steps) == (r, max(0, math.ceil(max(20, digits) - r)))
+        assert correction == sequential_upward_sum(r, steps)
 
     def test_agreement_with_closed_forms_on_random_sample(self, ctx50):
         tol = comparison_tolerance(ctx50)
