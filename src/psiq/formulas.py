@@ -19,12 +19,9 @@ from .closedform import (
     UNIT,
     BasisTerm,
     ClosedForm,
-    CoeffLike,
     CosineCombination,
     combine,
     factor_log_integer,
-    log_prime,
-    log_sin,
     pi_cot,
 )
 from .rationals import PoleError, classify, shift_decompose, ArgumentClass
@@ -70,12 +67,14 @@ def _theorem_form(
     linear time over plain integer maps keyed by numerators over q: ln sin
     folds j to min(j, q - j), where j = q/2 gives ln sin(pi/2) = 0, and each
     cosine folds k = p*j mod q into [0, q/2] the way ``from_cos`` does.  The
-    Fractions and combinations are made once, and ``ClosedForm.build``
-    checks and canonicalizes the result.
+    cotangent angle is folded into (0, 1/2] and the ln 2 mass merged with the
+    ln 2 of ln(log_arg) here, so the terms come out canonical and in
+    canonical order, and the form is frozen without ``ClosedForm.build``.
     """
     _check_pq(p, q)
     log_sins: dict[int, dict[int, int]] = {}
-    ln2: dict[int, int] = {}
+    logs = {term.arg: {0: -exponent} for term, exponent in factor_log_integer(log_arg).items()}
+    ln2 = logs.setdefault(2, {}) if ln2_mass else {}
     for j in range(1, upper + 1):
         w = weight // 2 if halve_middle and 2 * j == q else weight
         k = p * j % q
@@ -89,17 +88,16 @@ def _theorem_form(
         if 2 * m != q:
             acc = log_sins.setdefault(m, {})
             acc[k] = acc.get(k, 0) + w
-        if ln2_mass:
-            ln2[k] = ln2.get(k, 0) + w
-    items: list[tuple[BasisTerm, CoeffLike]] = [
-        (GAMMA, -1),
-        (pi_cot(Fraction(p, q)), Fraction(-1, 2)),
-        *((term, -exponent) for term, exponent in factor_log_integer(log_arg).items()),
-        *((log_sin(Fraction(m, q)), _combination(acc, q)) for m, acc in log_sins.items()),
-    ]
-    if ln2_mass:
-        items.append((log_prime(2), _combination(ln2, q)))
-    return ClosedForm.build(items)
+        ln2[k] = ln2.get(k, 0) + w
+    coefficients = [(GAMMA, CosineCombination(Fraction(-1)))]
+    if 2 * p != q:  # cot(pi/2) = 0; cot(pi (1 - x)) = -cot(pi x)
+        cot = CosineCombination(Fraction(1 if 2 * p > q else -1, 2))
+        coefficients.append((BasisTerm("picot", Fraction(min(p, q - p), q)), cot))
+    for prime, acc in sorted(logs.items()):
+        coefficients.append((BasisTerm("logprime", prime), _combination(acc, q)))
+    for m, acc in sorted(log_sins.items()):
+        coefficients.append((BasisTerm("logsin", Fraction(m, q)), _combination(acc, q)))
+    return ClosedForm(tuple((term, c) for term, c in coefficients if not c.is_zero))
 
 
 def murty_saradha(p: int, q: int) -> ClosedForm:

@@ -1,9 +1,17 @@
 """Arbitrary-precision evaluation and independent numeric digamma oracles.
 
 Values are mpmath floats carried at ``digits + guard`` working decimal digits
-(guard defaults to 15); results reported at D digits are accurate to well
-within 10 units in the last digit for exact inputs.  Comparisons throughout
-the package use the tolerance 10^-(D-10).
+(guard defaults to 15), W bits; results reported at D digits are accurate to
+well within 10 units in the last digit for exact inputs.  Comparisons
+throughout the package use the tolerance 10^-(D-10).
+
+A closed form is evaluated in integer fixed point at P = W + 32 bits.  Its
+ln sin(pi*j/q) and cos(2*pi*k/q) values come from one table per common
+denominator q (:class:`_SineTable`): sin(pi*j/q) to within 0.51*2^-P,
+cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q) to within 3*2^-P and ln sin(pi*j/q) to
+within (1 + q/(3j))*2^-P.  pi, gamma, ln p and pi*cot(pi*x) enter rounded to
+W bits.  The coefficient x basis products and their sum are exact integers,
+rounded once to W bits.
 
 Two independent digamma oracles are provided:
 
@@ -23,13 +31,15 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 import mpmath
+from mpmath import libmp
 
-from .closedform import ClosedForm, CosineCombination
+from .closedform import UNIT, BasisTerm, ClosedForm, CosineCombination
 from .rationals import ArgumentClass, PoleError, classify, shift_decompose, upward_sum
 
 __all__ = [
@@ -52,6 +62,9 @@ BigReal = Any  # mpmath.mpf bound to a per-precision context
 
 _mp_contexts = threading.local()  # .by_dps: this thread's {dps: context}
 _VALUE_CACHE_SIZE = 16384
+_EXTRA_BITS = 32  # fixed-point bits beyond the working precision
+_BLOCK = 64  # sines filled from one cos/sin evaluation by rotation
+_SLOT_BUDGET = 1 << 16  # table slots the table cache keeps, over all tables
 _bernoulli: list[Fraction] = []  # [B_2, B_4, ...]
 _bernoulli_lock = threading.Lock()
 
@@ -59,8 +72,7 @@ _bernoulli_lock = threading.Lock()
 @functools.lru_cache(maxsize=_VALUE_CACHE_SIZE)
 def _constant(key: tuple) -> BigReal:
     """The constant a key names: (workdps, "pi"), (digits, guard, "gamma"),
-    (workdps, "cos2pi", angle) for cos(2*pi*angle), or (workdps, kind, arg)
-    for a picot, logprime or logsin basis term.
+    or (workdps, kind, arg) for a picot or logprime basis term.
 
     A miss computes in the asking thread's context, so a hit may return
     another thread's value (see :func:`_own`).  functools' LRU is bounded
@@ -75,13 +87,9 @@ def _constant(key: tuple) -> BigReal:
         return +m.pi
     if kind == "logprime":
         return m.log(key[2])
-    x = m.mpf(key[2].numerator) / key[2].denominator
-    if kind == "cos2pi":
-        return m.cos(2 * m.pi * x)
     if kind == "picot":
+        x = m.mpf(key[2].numerator) / key[2].denominator
         return m.pi * m.cot(m.pi * x)
-    if kind == "logsin":
-        return m.log(m.sin(m.pi * x))
     raise ValueError(f"unknown basis term kind {kind!r}")
 
 
@@ -178,32 +186,171 @@ def bernoulli_even(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _basis_value(term, ctx: EvalContext) -> BigReal:
-    if term.kind == "unit":
-        return ctx.mp.mpf(1)
-    if term.kind == "gamma":
-        return const_gamma(ctx)
-    return _constant((ctx.workdps, term.kind, term.arg))
+def _cos_sin_pi(j: int, q: int, prec: int) -> tuple[int, int]:
+    """cos(pi*j/q) and sin(pi*j/q) as integers scaled by 2^prec, each within
+    1.01 units."""
+    x = libmp.from_rational(j, q, prec + 10)
+    return tuple(libmp.to_fixed(v, prec) for v in libmp.mpf_cos_sin_pi(x, prec + 10))
+
+
+class _SineTable:
+    """sin(pi*j/q) and ln sin(pi*j/q), 0 < j <= q/2, as integers scaled by 2^prec.
+
+    Sines are filled a block of 64 consecutive j at a time, when one of its
+    indices is first needed: the block's first value comes from libmp's
+    cos/sin at an explicit precision, the rest from rotating it by pi/q in
+    fixed point at prec + 16 bits.  Each rotation adds at most 3 units of
+    2^-(prec+16) to the error, so a block ends within 3*64 of those units,
+    whatever q is; rounded to prec bits each sine is within 0.51*2^-prec.
+    ln sin(pi*j/q) is taken from the stored sine on first use, within
+    (1 + q/(3j))*2^-prec, since sin(pi*x) >= 2x on [0, 1/2].  No mpmath
+    context is involved, so threads can share a table: a value two threads
+    fill at once is the same integer.
+    """
+
+    def __init__(self, q: int, prec: int) -> None:
+        self.q, self.prec = q, prec
+        self.slots = q // 2 + 1
+        self._blocks: list[Optional[list[int]]] = [None] * -(-self.slots // _BLOCK)
+        self._logs: list[Optional[int]] = [None] * self.slots
+        self._step: Optional[tuple[int, int]] = None
+
+    def _fill(self, b: int) -> list[int]:
+        wide = self.prec + 16
+        if self._step is None:
+            self._step = _cos_sin_pi(1, self.q, wide)
+        cd, sd = self._step
+        j0 = b * _BLOCK
+        c, s = _cos_sin_pi(j0, self.q, wide)
+        wide_sines = [s]
+        for _ in range(1, min(_BLOCK, self.slots - j0)):
+            c, s = (c * cd - s * sd) >> wide, (s * cd + c * sd) >> wide
+            wide_sines.append(s)
+        return [(v + (1 << 15)) >> 16 for v in wide_sines]
+
+    def sin(self, j: int) -> int:
+        b, i = divmod(j, _BLOCK)
+        block = self._blocks[b]
+        if block is None:
+            block = self._blocks[b] = self._fill(b)
+        return block[i]
+
+    def cos2(self, k: int) -> int:
+        """cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q), 0 <= k <= q/2, within 3*2^-prec."""
+        s = self.sin(k)
+        return (1 << self.prec) - ((s * s + (1 << (self.prec - 2))) >> (self.prec - 1))
+
+    def log_sin(self, j: int) -> int:
+        value = self._logs[j]
+        if value is None:
+            x = libmp.from_man_exp(self.sin(j), -self.prec)
+            log = libmp.mpf_log(x, self.prec + 8 + self.q.bit_length())
+            value = self._logs[j] = libmp.to_fixed(log, self.prec)
+        return value
+
+
+class _TableCache:
+    """Bounded, thread-safe LRU of sine tables keyed by (prec, q).
+
+    Its size counts table slots, not tables: a new table evicts whole
+    least-recently-used tables until the tables kept hold at most
+    _SLOT_BUDGET slots.  A table larger than the budget is still returned
+    to its caller, but not kept.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._tables: OrderedDict[tuple[int, int], _SineTable] = OrderedDict()
+        self.slots = 0
+        self.builds = 0
+
+    def get(self, q: int, prec: int) -> _SineTable:
+        key = (prec, q)
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self._tables.move_to_end(key)
+                return table
+            table = self._tables[key] = _SineTable(q, prec)
+            self.builds += 1
+            self.slots += table.slots
+            while self.slots > _SLOT_BUDGET:
+                self.slots -= self._tables.popitem(last=False)[1].slots
+            return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self.slots = 0
+
+
+_tables = _TableCache()
+
+
+def _scaled(x: Fraction, value: int) -> int:
+    """x * value, rounded to an integer."""
+    n, d = x.numerator, x.denominator
+    return n * value if d == 1 else (2 * n * value + d) // (2 * d)
+
+
+def _fixed_sum(
+    pairs: tuple[tuple[BasisTerm, CosineCombination], ...], ctx: EvalContext
+) -> BigReal:
+    """Sum of coefficient * basis value over the pairs, in fixed point at
+    P = W + 32 bits: every cosine and ln sin comes from the one table of the
+    pairs' common denominator, each product is an exact integer scaled by
+    2^(2P), and the sum is rounded once to the working precision W."""
+    q = 1
+    for term, coeff in pairs:
+        if term.kind == "logsin":
+            q = math.lcm(q, term.arg.denominator)
+        for angle, _ in coeff.cosines:
+            q = math.lcm(q, angle.denominator)
+    work = libmp.dps_to_prec(ctx.workdps)
+    prec = work + _EXTRA_BITS
+    one = 1 << prec
+    table = _tables.get(q, prec) if q > 1 else None
+    total = 0
+    for term, coeff in pairs:
+        c = _scaled(coeff.rational, one)
+        for angle, weight in coeff.cosines:
+            c += _scaled(weight, table.cos2(angle.numerator * (q // angle.denominator)))
+        kind = term.kind
+        if kind == "unit":
+            basis = one
+        elif kind == "logsin":
+            j = term.arg.numerator * (q // term.arg.denominator)
+            if not 0 < j < q:
+                raise ValueError(f"ln sin(pi*{term.arg}) needs an angle in (0, 1)")
+            basis = table.log_sin(min(j, q - j))
+        else:
+            if kind == "gamma":
+                value = const_gamma(ctx)
+            else:
+                value = _constant((ctx.workdps, kind, term.arg))
+            basis = libmp.to_fixed(value._mpf_, prec)
+        total += c * basis
+    return ctx.mp.make_mpf(libmp.from_man_exp(total, -2 * prec, work, libmp.round_nearest))
 
 
 def eval_cosine_combination(c: CosineCombination, ctx: EvalContext) -> BigReal:
-    total = ctx.from_fraction(c.rational)
-    for angle, coeff in c.cosines:
-        total += ctx.from_fraction(coeff) * _constant((ctx.workdps, "cos2pi", angle))
-    return total
+    """The value of q0 + sum q_i cos(2*pi*a_i), rounded once to the working
+    precision (see :func:`_fixed_sum`)."""
+    return _fixed_sum(((UNIT, c),), ctx)
 
 
 def eval_closed_form(c: ClosedForm, ctx: EvalContext) -> BigReal:
     """Sum of coefficient * basis-constant over all stored terms.
 
-    With exact inputs the relative error is below 10^-(D-5); the default
-    guard of 15 digits absorbs rounding across the O(q) summands produced
-    by the rational-argument formulas.
+    Evaluated in fixed point at P = W + 32 bits with one rounding to the W
+    working bits (module docstring).  The error before that rounding is at
+    most sum |c|*e(basis) + |basis|*e(c) over the terms, with e the errors
+    stated there (in units of 2^-P) and the W-bit rounding of pi, gamma,
+    ln p and pi*cot.  For the theorem forms of denominator q <= 10^5 the
+    table part stays below 2^-(W+12); the 15 guard digits keep the relative
+    error below 10^-(D-5).
     """
-    total = ctx.mp.mpf(0)
-    for term, coeff in c.coefficients:
-        total += eval_cosine_combination(coeff, ctx) * _basis_value(term, ctx)
-    return total
+    return _fixed_sum(c.coefficients, ctx)
 
 
 # ---------------------------------------------------------------------------

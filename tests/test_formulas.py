@@ -148,6 +148,14 @@ class TestBuilderMatchesReference:
                 assert form == expected, (fn.__name__, p, q)
                 assert render(form) == render(expected), (fn.__name__, p, q)
 
+    def test_direct_freeze_is_canonical(self):
+        # the builder freezes without ClosedForm.build, which must leave its forms alone
+        for p, q in coprime_pairs(60):
+            for fn, _ in REFERENCES:
+                form = fn(p, q)
+                rebuilt = ClosedForm.build(form.coefficients)
+                assert rebuilt == form and repr(rebuilt) == repr(form), (fn.__name__, p, q)
+
     @pytest.mark.parametrize("q", [2999, 3001])
     def test_large_prime_denominators(self, q):
         pairs = [(murty_saradha, reference_murty_saradha), (gr_variant, reference_gr_variant)]

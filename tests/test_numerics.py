@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -19,8 +20,8 @@ from psiq import (
     oracle_psi_series,
     psi_closed,
 )
-from psiq.closedform import ClosedForm
-from psiq.numerics import comparison_tolerance
+from psiq.closedform import ClosedForm, CosineCombination, log_sin, pi_cot
+from psiq.numerics import comparison_tolerance, eval_cosine_combination
 from psiq.rationals import PoleError, upward_sum
 
 from conftest import machin_pi, mp_reference, random_rationals, reference_digamma
@@ -183,46 +184,160 @@ class TestEvalClosedForm:
         assert format_decimal(lo, 25) == format_decimal(hi, 25)
 
 
-def cache_size() -> int:
-    return numerics._constant.cache_info().currsize
+# The evaluation the fixed-point tables replaced: an mpmath cos, log(sin) and
+# pi*cot per angle at the working precision, summed term by term in mpf.
+_reference_values: dict = {}
+_reference_context = functools.lru_cache(maxsize=None)(mp_reference)
+
+
+def reference_basis(kind: str, arg, dps: int):
+    key = (dps, kind, arg)
+    if key not in _reference_values:
+        m = _reference_context(dps)
+        x = m.mpf(arg.numerator) / arg.denominator if kind != "logprime" else m.mpf(arg)
+        if kind == "cos2pi":
+            value = m.cos(2 * m.pi * x)
+        elif kind == "logsin":
+            value = m.log(m.sin(m.pi * x))
+        elif kind == "picot":
+            value = m.pi * m.cot(m.pi * x)
+        else:
+            value = m.log(x)
+        _reference_values[key] = value
+    return _reference_values[key]
+
+
+def reference_eval(form: ClosedForm, ctx: EvalContext):
+    m = _reference_context(ctx.workdps)
+    total = m.mpf(0)
+    for term, coeff in form.coefficients:
+        c = m.mpf(coeff.rational.numerator) / coeff.rational.denominator
+        for angle, weight in coeff.cosines:
+            c += m.mpf(weight.numerator) / weight.denominator * reference_basis(
+                "cos2pi", angle, ctx.workdps
+            )
+        if term.kind == "unit":
+            basis = m.mpf(1)
+        elif term.kind == "gamma":
+            basis = m.mpf(const_gamma(ctx))
+        else:
+            basis = reference_basis(term.kind, term.arg, ctx.workdps)
+        total += c * basis
+    return total
+
+
+def coprime_pairs(qmax):
+    for q in range(2, qmax + 1):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                yield p, q
+
+
+class TestFixedPointEvaluator:
+    @pytest.mark.parametrize("digits", [30, 479])
+    def test_every_reduced_pair_to_q60_matches_per_term_evaluation(self, digits):
+        ctx = EvalContext(digits)
+        limit = ctx.mp.mpf(10) ** -(digits + 5)
+        for p, q in coprime_pairs(60):
+            form = psi_closed(Fraction(p, q))
+            assert abs(eval_closed_form(form, ctx) - reference_eval(form, ctx)) < limit, (p, q)
+
+    @pytest.mark.parametrize("q", [2999, 3000])
+    def test_large_denominators_match_per_term_evaluation(self, q, ctx50):
+        limit = ctx50.mp.mpf(10) ** -55
+        for p in (1, 7, q - 1):
+            form = psi_closed(Fraction(p, q))
+            assert abs(eval_closed_form(form, ctx50) - reference_eval(form, ctx50)) < limit, p
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            ClosedForm.build({log_sin(Fraction(2, 7)): CosineCombination.from_cos(Fraction(3, 5))}),
+            ClosedForm.build({pi_cot(Fraction(5, 12)): 1}),
+            ClosedForm.build({log_sin(Fraction(1, 1000003)): 1}),
+        ],
+        ids=["cos-3/5-logsin-2/7", "picot-5/12", "logsin-1/1000003"],
+    )
+    def test_forms_that_callers_build(self, form, ctx50):
+        limit = ctx50.mp.mpf(10) ** -55
+        assert abs(eval_closed_form(form, ctx50) - reference_eval(form, ctx50)) < limit
+        assert numerics._tables.slots <= numerics._SLOT_BUDGET
+
+    def test_cosine_combination(self, ctx50):
+        c = CosineCombination.from_cos(Fraction(3, 5), Fraction(7, 3)) + CosineCombination.from_rational(
+            Fraction(-1, 9)
+        )
+        m = mp_reference(80)
+        reference = m.mpf(7) / 3 * m.cos(6 * m.pi / 5) - m.mpf(1) / 9
+        assert abs(eval_cosine_combination(c, ctx50) - reference) < ctx50.mp.mpf(10) ** -60
+
+    @pytest.mark.parametrize("q", [7, 60, 2999])
+    def test_every_table_slot_within_documented_bound(self, q, ctx50):
+        prec = mpmath.libmp.dps_to_prec(ctx50.workdps) + 32
+        table = numerics._SineTable(q, prec)
+        m = mp_reference(ctx50.workdps + 20)
+        unit = m.mpf(2) ** -prec
+        for j in range(q // 2 + 1):
+            exact = m.sin(m.pi * j / q)
+            assert abs(table.sin(j) * unit - exact) <= m.mpf("0.51") * unit, j
+            assert abs(table.cos2(j) * unit - m.cos(2 * m.pi * j / q)) <= 3 * unit, j
+            if j:
+                error = abs(table.log_sin(j) * unit - m.log(exact))
+                assert error <= (1 + m.mpf(q) / (3 * j)) * unit, j
 
 
 class TestValueCache:
+    """The table cache, with its budget lowered to three tables at q near 3000."""
+
+    BUDGET = 6000
+    QS = (3001, 3011, 3019, 3023, 3037, 3041)
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_SLOT_BUDGET", self.BUDGET)
+        numerics._tables.clear()
+        yield
+        numerics._tables.clear()
+
     @pytest.fixture(scope="class")
     def sweep(self):
         """Evaluate psi(1/2999) from an empty cache, then six more forms at
-        q near 3000 (about 3000 entries each), then psi(1/2999) again."""
+        q near 3000 (about 1500 slots each), then psi(1/2999) again."""
         ctx = EvalContext(20)
-        numerics._constant.cache_clear()
-        first = psi_closed(Fraction(1, 2999))
-        cold = eval_closed_form(first, ctx)
-        sizes = []
-        for q in (3001, 3011, 3019, 3023, 3037, 3041):
-            eval_closed_form(psi_closed(Fraction(2, q)), ctx)
-            sizes.append(cache_size())
-        misses = numerics._constant.cache_info().misses
-        recomputed = eval_closed_form(first, ctx)
-        return cold, sizes, numerics._constant.cache_info().misses - misses, recomputed
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_SLOT_BUDGET", self.BUDGET)
+            numerics._tables.clear()
+            first = psi_closed(Fraction(1, 2999))
+            cold = eval_closed_form(first, ctx)
+            sizes = []
+            for q in self.QS:
+                eval_closed_form(psi_closed(Fraction(2, q)), ctx)
+                sizes.append(numerics._tables.slots)
+            builds = numerics._tables.builds
+            recomputed = eval_closed_form(first, ctx)
+            rebuilt = numerics._tables.builds - builds
+            numerics._tables.clear()
+        return cold, sizes, rebuilt, recomputed
 
     def test_size_never_exceeds_bound(self, sweep):
         _, sizes, _, _ = sweep
-        assert max(sizes) <= numerics._VALUE_CACHE_SIZE
-        assert sizes[-1] == numerics._VALUE_CACHE_SIZE  # the sweep did fill it
+        assert max(sizes) <= self.BUDGET
+        # the sweep did fill it: no further table of this size fits
+        assert sizes[-1] > self.BUDGET - (max(self.QS) // 2 + 1)
 
     def test_recomputed_value_equals_cold_value(self, sweep):
-        cold, _, misses, recomputed = sweep
-        assert misses >= 2 * 1499  # its ln sin and cosine values were evicted
+        cold, _, rebuilt, recomputed = sweep
+        assert rebuilt == 1  # its table was evicted
         assert recomputed == cold
 
-    def test_threads_match_serial_run(self):
-        # eight forms of about 3000 entries each overflow the cache, so the
-        # threads evict one another's entries
+    def test_threads_match_serial_run(self, small_budget):
+        # eight forms of about 1500 slots each overflow the cache, so the
+        # threads evict one another's tables
         ctx = EvalContext(20)
         qs = (2999, 3001, 3011, 3019, 3023, 3037, 3041, 3049)
         forms = [psi_closed(Fraction(i + 1, q)) for i, q in enumerate(qs)]
-        numerics._constant.cache_clear()
         serial = [eval_closed_form(form, ctx) for form in forms]
-        numerics._constant.cache_clear()
+        numerics._tables.clear()
         results: list[list] = [[] for _ in forms]
 
         def work(i: int) -> None:
@@ -240,7 +355,14 @@ class TestValueCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [[value] * 2 for value in serial]
-        assert cache_size() == numerics._VALUE_CACHE_SIZE
+        assert self.BUDGET - 1525 < numerics._tables.slots <= self.BUDGET
+
+    def test_second_evaluation_at_q30011_builds_no_table(self, ctx50):
+        form = psi_closed(Fraction(1, 30011))
+        first = eval_closed_form(form, ctx50)
+        builds = numerics._tables.builds
+        assert eval_closed_form(form, ctx50) == first
+        assert numerics._tables.builds == builds
 
 
 class TestSeriesOracle:
