@@ -211,14 +211,18 @@ class _SineTable:
     def __init__(self, q: int, prec: int) -> None:
         self.q, self.prec = q, prec
         self.slots = q // 2 + 1
-        self._blocks: list[Optional[list[int]]] = [None] * -(-self.slots // _BLOCK)
-        self._logs: list[Optional[int]] = [None] * self.slots
-        self._step: Optional[tuple[int, int]] = None
+        self._step = _cos_sin_pi(1, q, prec + 16)
+        # block index -> (sines, ln sines); memory grows with the blocks used
+        self._blocks: dict[int, tuple[list[int], list[Optional[int]]]] = {}
+
+    def _block(self, b: int) -> tuple[list[int], list[Optional[int]]]:
+        block = self._blocks.get(b)
+        if block is None:
+            block = self._blocks.setdefault(b, (self._fill(b), [None] * _BLOCK))
+        return block
 
     def _fill(self, b: int) -> list[int]:
         wide = self.prec + 16
-        if self._step is None:
-            self._step = _cos_sin_pi(1, self.q, wide)
         cd, sd = self._step
         j0 = b * _BLOCK
         c, s = _cos_sin_pi(j0, self.q, wide)
@@ -230,10 +234,7 @@ class _SineTable:
 
     def sin(self, j: int) -> int:
         b, i = divmod(j, _BLOCK)
-        block = self._blocks[b]
-        if block is None:
-            block = self._blocks[b] = self._fill(b)
-        return block[i]
+        return self._block(b)[0][i]
 
     def cos2(self, k: int) -> int:
         """cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q), 0 <= k <= q/2, within 3*2^-prec."""
@@ -241,11 +242,13 @@ class _SineTable:
         return (1 << self.prec) - ((s * s + (1 << (self.prec - 2))) >> (self.prec - 1))
 
     def log_sin(self, j: int) -> int:
-        value = self._logs[j]
+        b, i = divmod(j, _BLOCK)
+        sines, logs = self._block(b)
+        value = logs[i]
         if value is None:
-            x = libmp.from_man_exp(self.sin(j), -self.prec)
+            x = libmp.from_man_exp(sines[i], -self.prec)
             log = libmp.mpf_log(x, self.prec + 8 + self.q.bit_length())
-            value = self._logs[j] = libmp.to_fixed(log, self.prec)
+            value = logs[i] = libmp.to_fixed(log, self.prec)
         return value
 
 

@@ -255,8 +255,12 @@ class TestFixedPointEvaluator:
             ClosedForm.build({log_sin(Fraction(2, 7)): CosineCombination.from_cos(Fraction(3, 5))}),
             ClosedForm.build({pi_cot(Fraction(5, 12)): 1}),
             ClosedForm.build({log_sin(Fraction(1, 1000003)): 1}),
+            # common denominator near 10^12: only the blocks used are filled
+            ClosedForm.build(
+                {log_sin(Fraction(1, 1000003)): CosineCombination.from_cos(Fraction(1, 999983))}
+            ),
         ],
-        ids=["cos-3/5-logsin-2/7", "picot-5/12", "logsin-1/1000003"],
+        ids=["cos-3/5-logsin-2/7", "picot-5/12", "logsin-1/1000003", "coprime-large-q"],
     )
     def test_forms_that_callers_build(self, form, ctx50):
         limit = ctx50.mp.mpf(10) ** -55
