@@ -74,7 +74,7 @@ def _theorem_form(
     _check_pq(p, q)
     log_sins: dict[int, dict[int, int]] = {}
     logs = {term.arg: {0: -exponent} for term, exponent in factor_log_integer(log_arg).items()}
-    ln2 = logs.setdefault(2, {}) if ln2_mass else {}
+    ln2 = logs.setdefault(2, {})  # receives the sum's mass if ln2_mass
     for j in range(1, upper + 1):
         w = weight // 2 if halve_middle and 2 * j == q else weight
         k = p * j % q
@@ -88,7 +88,8 @@ def _theorem_form(
         if 2 * m != q:
             acc = log_sins.setdefault(m, {})
             acc[k] = acc.get(k, 0) + w
-        ln2[k] = ln2.get(k, 0) + w
+        if ln2_mass:
+            ln2[k] = ln2.get(k, 0) + w
     coefficients = [(GAMMA, CosineCombination(Fraction(-1)))]
     if 2 * p != q:  # cot(pi/2) = 0; cot(pi (1 - x)) = -cot(pi x)
         cot = CosineCombination(Fraction(1 if 2 * p > q else -1, 2))
