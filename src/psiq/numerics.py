@@ -326,12 +326,10 @@ def _fixed_sum(
             if not 0 < j < q:
                 raise ValueError(f"ln sin(pi*{term.arg}) needs an angle in (0, 1)")
             basis = table.log_sin(min(j, q - j))
+        elif kind == "gamma":
+            basis = libmp.to_fixed(const_gamma(ctx)._mpf_, prec)
         else:
-            if kind == "gamma":
-                value = const_gamma(ctx)
-            else:
-                value = _constant((ctx.workdps, kind, term.arg))
-            basis = libmp.to_fixed(value._mpf_, prec)
+            basis = libmp.to_fixed(_constant((ctx.workdps, kind, term.arg))._mpf_, prec)
         total += c * basis
     return ctx.mp.make_mpf(libmp.from_man_exp(total, -2 * prec, work, libmp.round_nearest))
 
