@@ -14,14 +14,10 @@ from .closedform import (
     BasisTerm,
     ClosedForm,
     CosineCombination,
-    combine,
-    equals_numeric,
     log_prime,
     log_sin,
     pi_cot,
     render,
-    scale,
-    unit_form,
 )
 from .formulas import (
     gauss_1813,
@@ -81,12 +77,10 @@ __all__ = [
     "bundled_corpus_path",
     "bundled_errata_path",
     "classify",
-    "combine",
     "compare_formulas",
     "comparison_tolerance",
     "const_gamma",
     "const_pi",
-    "equals_numeric",
     "errata_gr",
     "errata_jensen",
     "eval_closed_form",
@@ -106,8 +100,6 @@ __all__ = [
     "reduce",
     "reflect",
     "render",
-    "scale",
     "shift_decompose",
-    "unit_form",
     "verify_tables",
 ]

@@ -18,9 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .closedform import render
+from .closedform import ClosedForm, render
 from .formulas import psi_closed
 from .numerics import EvalContext, eval_closed_form, format_decimal
 from .rationals import PoleError, parse_rational
@@ -103,17 +104,7 @@ def _print_report(report: ComparisonReport, fmt: str) -> None:
         print(report.to_text())
 
 
-def _cmd_exact(rational_text: str, fmt: str) -> int:
-    try:
-        r = parse_rational(rational_text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        form = psi_closed(r)
-    except PoleError:
-        print("digamma pole at non-positive integer", file=sys.stderr)
-        return 3
+def _cmd_exact(r: Fraction, form: ClosedForm, fmt: str) -> int:
     if fmt == "json":
         print(
             json.dumps(
@@ -131,17 +122,7 @@ def _cmd_exact(rational_text: str, fmt: str) -> int:
     return 0
 
 
-def _cmd_eval(rational_text: str, digits: int, fmt: str) -> int:
-    try:
-        r = parse_rational(rational_text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        form = psi_closed(r)
-    except PoleError:
-        print("digamma pole at non-positive integer", file=sys.stderr)
-        return 3
+def _cmd_eval(r: Fraction, form: ClosedForm, digits: int, fmt: str) -> int:
     ctx = EvalContext(digits)
     text = format_decimal(eval_closed_form(form, ctx), digits)
     if fmt == "json":
@@ -253,9 +234,19 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         if rational_text is None:
             print("error: missing rational argument", file=sys.stderr)
             return 2
+        try:
+            r = parse_rational(rational_text)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            form = psi_closed(r)
+        except PoleError:
+            print("digamma pole at non-positive integer", file=sys.stderr)
+            return 3
         if args.command == "exact":
-            return _cmd_exact(rational_text, args.format)
-        return _cmd_eval(rational_text, args.digits, args.format)
+            return _cmd_exact(r, form, args.format)
+        return _cmd_eval(r, form, args.digits, args.format)
     if args.command == "table-check":
         return _cmd_table_check(args.corpus, args.digits, args.format)
     if args.command == "compare":

@@ -1,11 +1,10 @@
 """Exact symbolic closed forms for digamma values.
 
 A :class:`ClosedForm` maps irreducible basis constants (1, the Euler constant,
-pi*cot(pi*x), ln p for prime p, ln sin(pi*x)) to coefficients drawn from an
-exact ring of rational cosine combinations: q0 + sum_i q_i * cos(2*pi*a_i)
-with all q_i and a_i rational.  The ring is closed under multiplication via
-the product-to-sum identity, so coefficients such as 2*cos(2*pi*p*j/q) stay
-exact without any floating point.
+pi*cot(pi*x), ln p for prime p, ln sin(pi*x)) to exact rational cosine
+combinations q0 + sum_i q_i * cos(2*pi*a_i) with all q_i and a_i rational,
+so coefficients such as 2*cos(2*pi*p*j/q) stay exact without any floating
+point.
 
 Canonical conventions:
 
@@ -22,8 +21,7 @@ Canonical conventions:
 Structural equality of canonical forms implies numeric equality.  The
 converse does not hold: the cosine angles are linearly dependent over the
 rationals (e.g. sum of cos(2*pi*j/q) over j = 1..q-1 equals -1), so value
-equality of structurally different forms is checked numerically via
-:func:`equals_numeric`.
+equality of structurally different forms is checked by evaluating both.
 """
 
 from __future__ import annotations
@@ -39,15 +37,11 @@ __all__ = [
     "CosineCombination",
     "GAMMA",
     "UNIT",
-    "combine",
-    "equals_numeric",
     "factor_log_integer",
     "log_prime",
     "log_sin",
     "pi_cot",
     "render",
-    "scale",
-    "unit_form",
 ]
 
 _HALF = Fraction(1, 2)
@@ -61,7 +55,7 @@ def _as_fraction(x: Scalar) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Cosine-combination coefficient ring
+# Cosine-combination coefficients
 # ---------------------------------------------------------------------------
 
 
@@ -95,11 +89,6 @@ class CosineCombination:
             if coeff == 0:
                 raise ValueError("zero cosine coefficient stored")
 
-    @staticmethod
-    def _build(rational: Fraction, acc: dict[Fraction, Fraction]) -> "CosineCombination":
-        cleaned = tuple(sorted((a, c) for a, c in acc.items() if c != 0))
-        return CosineCombination(rational, cleaned)
-
     @classmethod
     def from_rational(cls, value: Scalar) -> "CosineCombination":
         return cls(_as_fraction(value), ())
@@ -131,48 +120,11 @@ class CosineCombination:
         acc = dict(self.cosines)
         for a, c in other.cosines:
             acc[a] = acc.get(a, Fraction(0)) + c
-        return self._build(self.rational + other.rational, acc)
+        cosines = tuple(sorted((a, c) for a, c in acc.items() if c != 0))
+        return CosineCombination(self.rational + other.rational, cosines)
 
     def __neg__(self) -> "CosineCombination":
         return CosineCombination(-self.rational, tuple((a, -c) for a, c in self.cosines))
-
-    def __sub__(self, other: "CosineCombination") -> "CosineCombination":
-        return self + (-other)
-
-    def __mul__(self, other: Union["CosineCombination", Scalar]) -> "CosineCombination":
-        if isinstance(other, (int, Fraction)):
-            s = _as_fraction(other)
-            if s == 0:
-                return CosineCombination()
-            return CosineCombination(
-                self.rational * s, tuple((a, c * s) for a, c in self.cosines)
-            )
-        rational = self.rational * other.rational
-        acc: dict[Fraction, Fraction] = {}
-
-        def put(angle: Fraction, coeff: Fraction) -> None:
-            nonlocal rational
-            a = _fold_cos_angle(angle)
-            if a == 0:
-                rational += coeff
-            elif a == _HALF:
-                rational -= coeff
-            elif a != _QUARTER:  # cos(pi/2) = 0 contributes nothing
-                acc[a] = acc.get(a, Fraction(0)) + coeff
-
-        for a, c in self.cosines:
-            put(a, c * other.rational)
-        for b, d in other.cosines:
-            put(b, d * self.rational)
-        # cos A * cos B = (cos(A-B) + cos(A+B)) / 2
-        for a, c in self.cosines:
-            for b, d in other.cosines:
-                half = c * d / 2
-                put(a - b, half)
-                put(a + b, half)
-        return self._build(rational, acc)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +227,7 @@ class ClosedForm:
     """Canonical map from basis terms to cosine-combination coefficients.
 
     The empty form is the exact value 0.  Instances are immutable; build new
-    ones with :meth:`build`, :func:`combine` or :func:`scale`.
+    ones with :meth:`build`.
     """
 
     coefficients: tuple[tuple[BasisTerm, CosineCombination], ...] = ()
@@ -345,39 +297,6 @@ class ClosedForm:
             if t == term:
                 return c
         return CosineCombination()
-
-
-ZERO_FORM = ClosedForm()
-
-
-def unit_form(value: Scalar) -> ClosedForm:
-    """The closed form of an exact rational constant."""
-    return ClosedForm.build({UNIT: _as_fraction(value)})
-
-
-def combine(a: ClosedForm, b: ClosedForm, scalar_a: Scalar, scalar_b: Scalar) -> ClosedForm:
-    """Exact linear combination scalar_a*a + scalar_b*b, re-canonicalized."""
-    sa = _as_fraction(scalar_a)
-    sb = _as_fraction(scalar_b)
-    acc: list[tuple[BasisTerm, CosineCombination]] = []
-    if sa != 0:
-        acc.extend((t, c * sa) for t, c in a.coefficients)
-    if sb != 0:
-        acc.extend((t, c * sb) for t, c in b.coefficients)
-    return ClosedForm.build(acc)
-
-
-def scale(a: ClosedForm, scalar: Scalar) -> ClosedForm:
-    return combine(a, ZERO_FORM, scalar, 0)
-
-
-def equals_numeric(a: ClosedForm, b: ClosedForm, digits: int) -> bool:
-    """True iff |eval(a) - eval(b)| < 10^-(digits-10) at ``digits`` precision."""
-    from . import numerics
-
-    ctx = numerics.EvalContext(digits)
-    diff = abs(numerics.eval_closed_form(a, ctx) - numerics.eval_closed_form(b, ctx))
-    return diff < numerics.comparison_tolerance(ctx)
 
 
 # ---------------------------------------------------------------------------

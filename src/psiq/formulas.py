@@ -20,7 +20,6 @@ from .closedform import (
     BasisTerm,
     ClosedForm,
     CosineCombination,
-    combine,
     factor_log_integer,
     pi_cot,
 )
@@ -166,5 +165,4 @@ def reflect(c: ClosedForm, r: Fraction) -> ClosedForm:
         raise PoleError("digamma pole at non-positive integer")
     if classify(1 - r) is ArgumentClass.POLE:
         raise PoleError("digamma pole at non-positive integer (reflected argument)")
-    cot_form = ClosedForm.build({pi_cot(r % 1): CosineCombination.from_rational(1)})
-    return combine(c, cot_form, 1, 1)
+    return ClosedForm.build((*c.coefficients, (pi_cot(r % 1), 1)))

@@ -326,7 +326,6 @@ def errata_jensen(ctx: EvalContext) -> ComparisonReport:
     tolerance; the misprinted forms must differ by more than the fixed
     detection threshold (their pass flag asserts the misprint is detected).
     """
-    tolerance = comparison_tolerance(ctx)
     threshold = ctx.from_fraction(ERRATA_DETECTION_THRESHOLD)
     corrected = {
         e.label: e
@@ -334,22 +333,10 @@ def errata_jensen(ctx: EvalContext) -> ComparisonReport:
         if e.label.endswith("-jensen")
     }
     misprinted = load_corpus(bundled_errata_path())
-    cases = []
+    labels = ("psi(3/5)-jensen", "psi(4/5)-jensen")
+    cases = list(verify_tables([corrected[label] for label in labels], ctx).cases)
     notes = [f"corrected-form pass tolerance 10^-{ctx.digits - 10};"
              f" misprint detection threshold {float(ERRATA_DETECTION_THRESHOLD)}"]
-    for label in ("psi(3/5)-jensen", "psi(4/5)-jensen"):
-        entry = corrected[label]
-        ours = eval_closed_form(formulas.psi_closed(entry.argument), ctx)
-        diff = abs(ours - eval_const_expr(entry.expr, ctx))
-        cases.append(
-            CaseResult(
-                str(entry.argument),
-                "psi-closed-form",
-                f"corpus:{entry.label}",
-                diff,
-                bool(diff < tolerance),
-            )
-        )
     for entry in misprinted:
         ours = eval_closed_form(formulas.psi_closed(entry.argument), ctx)
         gap = abs(ours - eval_const_expr(entry.expr, ctx))

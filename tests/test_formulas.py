@@ -5,6 +5,7 @@ import pytest
 
 from psiq import (
     GAMMA,
+    UNIT,
     PoleError,
     ClosedForm,
     const_gamma,
@@ -20,12 +21,10 @@ from psiq import (
 )
 from psiq.closedform import (
     CosineCombination,
-    combine,
     factor_log_integer,
     log_prime,
     log_sin,
     pi_cot,
-    unit_form,
 )
 from psiq.numerics import comparison_tolerance
 from psiq.rationals import shift_decompose
@@ -75,10 +74,8 @@ def reference_gr_variant(p, q):
 def reference_gauss_1813(p, q):
     acc = _reference_head(q, p, q)
     for j in range(1, q // 2 + 1):
-        coeff = CosineCombination.from_cos(Fraction(p * j, q), 1)
-        if q % 2 == 0 and j == q // 2:
-            coeff = coeff * Fraction(1, 2)
-        doubled = coeff * 2
+        # the primed sum halves the j = q/2 term
+        doubled = CosineCombination.from_cos(Fraction(p * j, q), 1 if 2 * j == q else 2)
         _add(acc, log_prime(2), doubled)
         _add(acc, log_sin(Fraction(j, q)), doubled)
     return ClosedForm.build(acc)
@@ -134,7 +131,8 @@ class TestPreconditions:
             elif fn is psi_complement:
                 assert fn(p, q) == reflect(psi_closed(x), x)
             else:
-                assert fn(p, q) == combine(psi_closed(1 - x), unit_form(1 / x), 1, 1)
+                shifted = ((UNIT, 1 / x), *psi_closed(1 - x).coefficients)
+                assert fn(p, q) == ClosedForm.build(shifted)
             return
         with pytest.raises(ValueError):
             fn(p, q)
@@ -328,7 +326,8 @@ class TestDispatcher:
         cases += [(Fraction(n), gamma_only) for n in (2, 3, 50)]
         for r, base_form in cases:
             correction = shift_decompose(r).correction
-            assert psi_closed(r) == combine(base_form, unit_form(correction), 1, 1), r
+            shifted = ((UNIT, correction), *base_form.coefficients)
+            assert psi_closed(r) == ClosedForm.build(shifted), r
 
     def test_recurrence_invariant(self, ctx50):
         # psi(r+1) - psi(r) = 1/r for 200 random non-pole rationals
@@ -378,7 +377,7 @@ class TestComplementAndNegative:
             x = Fraction(p, q)
             complement = psi_closed(1 - x)
             assert complement == reflect(psi_closed(x), x), (p, q)
-            negative = combine(complement, unit_form(Fraction(q, p)), 1, 1)
+            negative = ClosedForm.build(((UNIT, Fraction(q, p)), *complement.coefficients))
             assert psi_closed(-x) == negative, (p, q)
 
 
