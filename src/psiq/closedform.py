@@ -2,15 +2,19 @@
 
 A :class:`ClosedForm` maps irreducible basis constants (1, the Euler constant,
 pi*cot(pi*x), ln p for prime p, ln sin(pi*x)) to exact rational cosine
-combinations q0 + sum_i q_i * cos(2*pi*a_i) with all q_i and a_i rational,
-so coefficients such as 2*cos(2*pi*p*j/q) stay exact without any floating
-point.
+combinations r + sum_k c_k * cos(2*pi*k/q) with r and every c_k rational,
+one integer denominator q and integer numerators k, so coefficients such as
+2*cos(2*pi*p*j/q) stay exact without any floating point.
 
 Canonical conventions:
 
-* cosine angles are folded into [0, 1/2] using periodicity and
-  cos(2*pi*(1-x)) = cos(2*pi*x); cos(0) = 1 and cos(pi) = -1 are absorbed
-  into the rational part, so stored angles lie strictly in (0, 1/2);
+* a cosine combination stores its numerators k with 0 < 2k < q and 4k != q,
+  strictly increasing, each with a non-zero coefficient: angles are folded
+  into [0, 1/2] turn using periodicity and cos(2*pi*(1-x)) = cos(2*pi*x),
+  cos(0) = 1 and cos(pi) = -1 are absorbed into the rational part, and
+  cos(pi/2) = 0 is dropped;
+* its denominator is minimal, gcd(q, k_1, k_2, ...) = 1, and q = 1 when no
+  cosine is stored, so one combination has exactly one representation;
 * pi*cot(pi*x) angles are folded into (0, 1/2] using
   cot(pi*(1-x)) = -cot(pi*x); the x = 1/2 term is exactly zero and is deleted;
 * ln sin(pi*x) angles are folded into (0, 1/2] using
@@ -26,6 +30,7 @@ equality of structurally different forms is checked by evaluating both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -69,29 +74,38 @@ def _fold_cos_angle(angle: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class CosineCombination:
-    """rational + sum of coeff*cos(2*pi*angle) with rational coeffs and angles.
+    """rational + sum of coeff*cos(2*pi*k/denominator) with rational coeffs.
 
-    ``cosines`` is a sorted tuple of (angle, coeff) pairs with angles strictly
-    inside (0, 1/2) and no zero coefficients; the quarter turn never appears
-    because cos(pi/2) = 0 exactly.  Instances are immutable and canonical by
-    construction.
+    ``cosines`` is a tuple of (k, coeff) pairs with integer numerators k,
+    0 < 2k < denominator, strictly increasing, and no zero coefficient; the
+    quarter turn 4k = denominator never appears because cos(pi/2) = 0
+    exactly.  The denominator is minimal: gcd(denominator, *ks) = 1, and it
+    is 1 when there is no cosine.  A coefficient is an int or a Fraction;
+    equal values compare and hash equal either way.  Instances are
+    immutable and canonical by construction.
     """
 
     rational: Fraction = Fraction(0)
-    cosines: tuple[tuple[Fraction, Fraction], ...] = ()
+    denominator: int = 1
+    cosines: tuple[tuple[int, Scalar], ...] = ()
 
     def __post_init__(self) -> None:
-        previous = 0  # angles strictly increase, so each is stored once
-        for angle, coeff in self.cosines:
-            if not (previous < angle < _HALF) or angle == _QUARTER:
-                raise ValueError(f"non-canonical cosine angle {angle}")
-            previous = angle
+        q = self.denominator
+        previous = 0  # numerators strictly increase, so each is stored once
+        common = q
+        for k, coeff in self.cosines:
+            if not previous < k < q - k or 4 * k == q:
+                raise ValueError(f"non-canonical cosine angle {k}/{q}")
+            previous = k
+            common = math.gcd(common, k)
             if coeff == 0:
                 raise ValueError("zero cosine coefficient stored")
+        if common != 1:
+            raise ValueError(f"non-minimal cosine denominator {q}")
 
     @classmethod
     def from_rational(cls, value: Scalar) -> "CosineCombination":
-        return cls(_as_fraction(value), ())
+        return cls(_as_fraction(value))
 
     @classmethod
     def from_cos(cls, angle: Fraction, coeff: Scalar = 1) -> "CosineCombination":
@@ -101,12 +115,25 @@ class CosineCombination:
             return cls()
         a = _fold_cos_angle(angle)
         if a == 0:
-            return cls(c, ())
+            return cls(c)
         if a == _HALF:
-            return cls(-c, ())
+            return cls(-c)
         if a == _QUARTER:
             return cls()
-        return cls(Fraction(0), ((a, c),))
+        return cls(Fraction(0), a.denominator, ((a.numerator, c),))
+
+    @classmethod
+    def from_numerators(
+        cls, rational: Scalar, q: int, coeffs: Mapping[int, Scalar]
+    ) -> "CosineCombination":
+        """rational + sum of coeffs[k]*cos(2*pi*k/q) over canonical numerators
+        k (0 < 2k < q, 4k != q), zero coefficients dropped and the
+        denominator reduced once by the gcd of q and the numerators kept."""
+        cosines = sorted((k, c) for k, c in coeffs.items() if c)
+        common = math.gcd(q, *(k for k, _ in cosines))
+        if common != 1:
+            cosines = [(k // common, c) for k, c in cosines]
+        return cls(rational, q // common, tuple(cosines))
 
     @property
     def is_zero(self) -> bool:
@@ -117,14 +144,18 @@ class CosineCombination:
         return not self.cosines
 
     def __add__(self, other: "CosineCombination") -> "CosineCombination":
-        acc = dict(self.cosines)
-        for a, c in other.cosines:
-            acc[a] = acc.get(a, Fraction(0)) + c
-        cosines = tuple(sorted((a, c) for a, c in acc.items() if c != 0))
-        return CosineCombination(self.rational + other.rational, cosines)
+        q = math.lcm(self.denominator, other.denominator)
+        acc: dict[int, Scalar] = {}
+        for part in (self, other):
+            lift = q // part.denominator
+            for k, c in part.cosines:
+                acc[k * lift] = acc.get(k * lift, 0) + c
+        return CosineCombination.from_numerators(self.rational + other.rational, q, acc)
 
     def __neg__(self) -> "CosineCombination":
-        return CosineCombination(-self.rational, tuple((a, -c) for a, c in self.cosines))
+        return CosineCombination(
+            -self.rational, self.denominator, tuple((k, -c) for k, c in self.cosines)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +358,8 @@ def _combination_plain(c: CosineCombination) -> str:
     parts: list[str] = []
     if c.rational != 0 or not c.cosines:
         parts.append(_frac_plain(c.rational))
-    for angle, coeff in c.cosines:
-        body = f"cos(2*pi*{angle})"
+    for k, coeff in c.cosines:
+        body = f"cos(2*pi*{Fraction(k, c.denominator)})"
         mag = abs(coeff)
         if mag == 1:
             piece = body
@@ -347,8 +378,8 @@ def _combination_latex(c: CosineCombination) -> str:
     parts: list[str] = []
     if c.rational != 0 or not c.cosines:
         parts.append(_frac_latex(c.rational))
-    for angle, coeff in c.cosines:
-        body = rf"\cos(2\pi\cdot{angle})"
+    for k, coeff in c.cosines:
+        body = rf"\cos(2\pi\cdot{Fraction(k, c.denominator)})"
         mag = abs(coeff)
         piece = body if mag == 1 else rf"{_frac_latex(mag)}{body}"
         if not parts:

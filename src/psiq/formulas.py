@@ -44,10 +44,21 @@ def _check_pq(p: int, q: int) -> None:
         raise ValueError(f"require gcd(p, q) = 1, got p={p}, q={q}")
 
 
+_ZERO = Fraction(0)  # the rational part of every single-cosine combination
+
+
 def _combination(acc: dict[int, int], q: int) -> CosineCombination:
     """Freeze {k: c} (k = 0 the rational part) as sum_k c*cos(2 pi k/q)."""
-    cosines = tuple((Fraction(k, q), Fraction(c)) for k, c in sorted(acc.items()) if k and c)
-    return CosineCombination(Fraction(acc.get(0, 0)), cosines)
+    return CosineCombination.from_numerators(Fraction(acc.pop(0, 0)), q, acc)
+
+
+def _cosine(k: int, w: int, q: int) -> CosineCombination:
+    """w*cos(2 pi k/q) for a folded k (k = 0 the rational part), over the
+    reduced denominator."""
+    if k == 0:
+        return CosineCombination(Fraction(w))
+    common = math.gcd(k, q)
+    return CosineCombination(_ZERO, q // common, ((k // common, w),))
 
 
 def _theorem_form(
@@ -63,15 +74,17 @@ def _theorem_form(
     + sum_{j=1}^{upper} w_j cos(2 pi p j/q) [ln sin(pi j/q) + (ln 2 if ln2_mass)],
 
     with w_j = weight, halved at j = q/2 if halve_middle.  The sum runs in
-    linear time over plain integer maps keyed by numerators over q: ln sin
-    folds j to min(j, q - j), where j = q/2 gives ln sin(pi/2) = 0, and each
-    cosine folds k = p*j mod q into [0, q/2] the way ``from_cos`` does.  The
-    cotangent angle is folded into (0, 1/2] and the ln 2 mass merged with the
-    ln 2 of ln(log_arg) here, so the terms come out canonical and in
-    canonical order, and the form is frozen without ``ClosedForm.build``.
+    linear time over integers: ln sin folds j to m = min(j, q - j), where
+    j = q/2 gives ln sin(pi/2) = 0, and each cosine folds k = p*j mod q into
+    [0, q/2] the way ``from_cos`` does.  j and q - j fold to the same k, so
+    each ln sin(pi m/q) carries one cosine, whose weights are summed; the
+    ln 2 mass is an integer map keyed by k.  The cotangent angle is folded
+    into (0, 1/2] and the ln 2 mass merged with the ln 2 of ln(log_arg)
+    here, so the terms come out canonical and in canonical order, and the
+    form is frozen without ``ClosedForm.build``.
     """
     _check_pq(p, q)
-    log_sins: dict[int, dict[int, int]] = {}
+    log_sins: dict[int, tuple[int, int]] = {}  # m -> (k, summed weight)
     logs = {term.arg: {0: -exponent} for term, exponent in factor_log_integer(log_arg).items()}
     ln2 = logs.setdefault(2, {})  # receives the sum's mass if ln2_mass
     for j in range(1, upper + 1):
@@ -85,8 +98,8 @@ def _theorem_form(
             k, w = 0, -w  # cos(pi) = -1; k = 0 is the rational part
         m = min(j, q - j)
         if 2 * m != q:
-            acc = log_sins.setdefault(m, {})
-            acc[k] = acc.get(k, 0) + w
+            prior = log_sins.get(m)
+            log_sins[m] = (k, w) if prior is None else (k, prior[1] + w)
         if ln2_mass:
             ln2[k] = ln2.get(k, 0) + w
     coefficients = [(GAMMA, CosineCombination(Fraction(-1)))]
@@ -95,8 +108,8 @@ def _theorem_form(
         coefficients.append((BasisTerm("picot", Fraction(min(p, q - p), q)), cot))
     for prime, acc in sorted(logs.items()):
         coefficients.append((BasisTerm("logprime", prime), _combination(acc, q)))
-    for m, acc in sorted(log_sins.items()):
-        coefficients.append((BasisTerm("logsin", Fraction(m, q)), _combination(acc, q)))
+    for m, (k, w) in sorted(log_sins.items()):
+        coefficients.append((BasisTerm("logsin", Fraction(m, q)), _cosine(k, w, q)))
     return ClosedForm(tuple((term, c) for term, c in coefficients if not c.is_zero))
 
 

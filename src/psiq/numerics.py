@@ -258,7 +258,7 @@ class _TableCache:
     Its size counts table slots, not tables: a new table evicts whole
     least-recently-used tables until the tables kept hold at most
     _SLOT_BUDGET slots.  A table larger than the budget is still returned
-    to its caller, but not kept.
+    to its caller, but neither kept nor allowed to evict a kept table.
     """
 
     def __init__(self) -> None:
@@ -274,8 +274,11 @@ class _TableCache:
             if table is not None:
                 self._tables.move_to_end(key)
                 return table
-            table = self._tables[key] = _SineTable(q, prec)
+            table = _SineTable(q, prec)
             self.builds += 1
+            if table.slots > _SLOT_BUDGET:
+                return table
+            self._tables[key] = table
             self.slots += table.slots
             while self.slots > _SLOT_BUDGET:
                 self.slots -= self._tables.popitem(last=False)[1].slots
@@ -300,15 +303,18 @@ def _fixed_sum(
     pairs: tuple[tuple[BasisTerm, CosineCombination], ...], ctx: EvalContext
 ) -> BigReal:
     """Sum of coefficient * basis value over the pairs, in fixed point at
-    P = W + 32 bits: every cosine and ln sin comes from the one table of the
-    pairs' common denominator, each product is an exact integer scaled by
-    2^(2P), and the sum is rounded once to the working precision W."""
+    P = W + 32 bits.
+
+    The common denominator q is the lcm of each coefficient's denominator
+    and each ln sin argument's, one lcm per pair.  Every cosine
+    cos(2*pi*k/d) and every ln sin comes from the one table of q, a cosine
+    at slot k*(q/d); each product is an exact integer scaled by 2^(2P), and
+    the sum is rounded once to the working precision W.
+    """
     q = 1
     for term, coeff in pairs:
-        if term.kind == "logsin":
-            q = math.lcm(q, term.arg.denominator)
-        for angle, _ in coeff.cosines:
-            q = math.lcm(q, angle.denominator)
+        arg = term.arg.denominator if term.kind == "logsin" else 1
+        q = math.lcm(q, arg, coeff.denominator)
     work = libmp.dps_to_prec(ctx.workdps)
     prec = work + _EXTRA_BITS
     one = 1 << prec
@@ -316,8 +322,9 @@ def _fixed_sum(
     total = 0
     for term, coeff in pairs:
         c = _scaled(coeff.rational, one)
-        for angle, weight in coeff.cosines:
-            c += _scaled(weight, table.cos2(angle.numerator * (q // angle.denominator)))
+        lift = q // coeff.denominator
+        for k, weight in coeff.cosines:
+            c += _scaled(weight, table.cos2(k * lift))
         kind = term.kind
         if kind == "unit":
             basis = one
@@ -335,7 +342,7 @@ def _fixed_sum(
 
 
 def eval_cosine_combination(c: CosineCombination, ctx: EvalContext) -> BigReal:
-    """The value of q0 + sum q_i cos(2*pi*a_i), rounded once to the working
+    """The value of r + sum c_k cos(2*pi*k/q), rounded once to the working
     precision (see :func:`_fixed_sum`)."""
     return _fixed_sum(((UNIT, c),), ctx)
 
@@ -344,12 +351,14 @@ def eval_closed_form(c: ClosedForm, ctx: EvalContext) -> BigReal:
     """Sum of coefficient * basis-constant over all stored terms.
 
     Evaluated in fixed point at P = W + 32 bits with one rounding to the W
-    working bits (module docstring).  The error before that rounding is at
-    most sum |c|*e(basis) + |basis|*e(c) over the terms, with e the errors
-    stated there (in units of 2^-P) and the W-bit rounding of pi, gamma,
-    ln p and pi*cot.  For the theorem forms of denominator q <= 10^5 the
-    table part stays below 2^-(W+12); the 15 guard digits keep the relative
-    error below 10^-(D-5).
+    working bits (module docstring), from the one sine table of the form's
+    common denominator, which for the theorem forms of psi(p/q) is q; each
+    cosine is read by its integer numerator (:func:`_fixed_sum`).  The
+    error before that rounding is at most sum |c|*e(basis) + |basis|*e(c)
+    over the terms, with e the errors stated there (in units of 2^-P) and
+    the W-bit rounding of pi, gamma, ln p and pi*cot.  For the theorem forms
+    of denominator q <= 10^5 the table part stays below 2^-(W+12); the 15
+    guard digits keep the relative error below 10^-(D-5).
     """
     return _fixed_sum(c.coefficients, ctx)
 

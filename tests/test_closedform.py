@@ -48,11 +48,48 @@ class TestCosineCombination:
         assert CosineCombination.from_cos(Fraction(3, 4), 5).is_zero
 
     def test_unsorted_or_repeated_angles_rejected(self):
-        one, fifth, seventh = Fraction(1), Fraction(1, 5), Fraction(1, 7)
+        # cos(2*pi*7/35) = cos(2*pi/5) and cos(2*pi*5/35) = cos(2*pi/7)
         with pytest.raises(ValueError, match="non-canonical cosine angle"):
-            CosineCombination(Fraction(0), ((fifth, one), (seventh, one)))
+            CosineCombination(Fraction(0), 35, ((7, 1), (5, 1)))
         with pytest.raises(ValueError, match="non-canonical cosine angle"):
-            CosineCombination(Fraction(0), ((seventh, one), (seventh, one)))
+            CosineCombination(Fraction(0), 35, ((5, 1), (5, 1)))
+
+    @pytest.mark.parametrize(
+        "q,cosines",
+        [(7, ((4, 1),)), (8, ((4, 1),)), (7, ((0, 1),)), (7, ((-1, 1),)), (12, ((3, 1),))],
+        ids=["2k>q", "2k=q", "k=0", "k<0", "4k=q"],
+    )
+    def test_numerators_outside_the_half_turn_rejected(self, q, cosines):
+        with pytest.raises(ValueError, match="non-canonical cosine angle"):
+            CosineCombination(Fraction(0), q, cosines)
+
+    def test_zero_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="zero cosine coefficient"):
+            CosineCombination(Fraction(0), 7, ((1, 1), (2, 0)))
+
+    @pytest.mark.parametrize(
+        "q,cosines", [(6, ((2, 1),)), (10, ((2, 1), (4, 3))), (2, ()), (0, ())],
+        ids=["6-(2,)", "10-(2,4)", "rational-over-2", "zero"],
+    )
+    def test_non_minimal_denominator_rejected(self, q, cosines):
+        with pytest.raises(ValueError, match="non-minimal cosine denominator"):
+            CosineCombination(Fraction(0), q, cosines)
+
+    def test_from_cos_stores_the_reduced_angle(self):
+        c = CosineCombination.from_cos(Fraction(-10, 12), 5)  # folds to 1/6
+        assert (c.denominator, c.cosines) == (6, ((1, 5),))
+
+    def test_addition_lifts_to_the_lcm_and_reduces(self):
+        sixth = CosineCombination.from_cos(Fraction(1, 6))
+        third = CosineCombination.from_cos(Fraction(1, 3))
+        total = sixth + third
+        assert (total.denominator, total.cosines) == (6, ((1, 1), (2, 1)))
+        assert total == CosineCombination(Fraction(0), 6, ((1, 1), (2, 1)))
+        cancelled = total + (-sixth)
+        assert cancelled == third and cancelled.denominator == 3
+        nothing = total + (-total)
+        assert nothing.is_zero and nothing.denominator == 1
+        assert nothing == CosineCombination()
 
     def test_reflection_fold(self):
         # cos(2*pi*(1-x)) = cos(2*pi*x)

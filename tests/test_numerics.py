@@ -212,9 +212,9 @@ def reference_eval(form: ClosedForm, ctx: EvalContext):
     total = m.mpf(0)
     for term, coeff in form.coefficients:
         c = m.mpf(coeff.rational.numerator) / coeff.rational.denominator
-        for angle, weight in coeff.cosines:
+        for k, weight in coeff.cosines:
             c += m.mpf(weight.numerator) / weight.denominator * reference_basis(
-                "cos2pi", angle, ctx.workdps
+                "cos2pi", Fraction(k, coeff.denominator), ctx.workdps
             )
         if term.kind == "unit":
             basis = m.mpf(1)
@@ -360,6 +360,22 @@ class TestValueCache:
         assert not any(t.is_alive() for t in threads)
         assert results == [[value] * 2 for value in serial]
         assert self.BUDGET - 1525 < numerics._tables.slots <= self.BUDGET
+
+    def test_table_over_the_budget_evicts_nothing(self, ctx50):
+        # a lone ln sin(pi/1000003) needs 500002 slots, more than the budget
+        numerics._tables.clear()
+        try:
+            for q in (7, 11, 13):
+                eval_closed_form(psi_closed(Fraction(1, q)), ctx50)
+            kept = list(numerics._tables._tables)
+            assert (len(kept), numerics._tables.slots) == (3, 4 + 6 + 7)
+            builds = numerics._tables.builds
+            eval_closed_form(ClosedForm.build({log_sin(Fraction(1, 1000003)): 1}), ctx50)
+            assert numerics._tables.builds == builds + 1
+            assert list(numerics._tables._tables) == kept
+            assert numerics._tables.slots == 17
+        finally:
+            numerics._tables.clear()
 
     def test_second_evaluation_at_q30011_builds_no_table(self, ctx50):
         form = psi_closed(Fraction(1, 30011))
