@@ -222,7 +222,8 @@ def log_prime(p: int) -> BasisTerm:
 
 
 def factor_log_integer(n: int) -> dict[BasisTerm, Fraction]:
-    """Decompose ln n (n >= 1) over prime logarithms: {ln p: multiplicity}."""
+    """Decompose ln n (n >= 1) over prime logarithms: {ln p: multiplicity}.
+    Trial division yields only primes, so no factor is tested again."""
     if n < 1:
         raise ValueError("logarithm of a non-positive integer")
     out: dict[BasisTerm, Fraction] = {}
@@ -230,12 +231,12 @@ def factor_log_integer(n: int) -> dict[BasisTerm, Fraction]:
     f = 2
     while f * f <= m:
         while m % f == 0:
-            term = log_prime(f)
+            term = BasisTerm("logprime", f)
             out[term] = out.get(term, Fraction(0)) + 1
             m //= f
         f += 1 if f == 2 else 2
     if m > 1:
-        term = log_prime(m)
+        term = BasisTerm("logprime", m)
         out[term] = out.get(term, Fraction(0)) + 1
     return out
 

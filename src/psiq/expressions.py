@@ -6,13 +6,14 @@ Grammar (whitespace insensitive)::
     term   := factor (('*'|'/') factor)*
     factor := '-' factor | number | 'pi' | 'gamma'
             | FUNC '(' expr ')' | '(' expr ')'
-    number := digits ('/' digits)?
+    number := digits
 
 ``FUNC`` is one of sqrt, ln, sin, cos, cot.  The bundled corpus files use
 only sqrt and ln; sin/cos/cot exist so that rendered closed forms round-trip
-through this parser.  A number with a slash immediately followed by digits is
-an exact rational literal; since '/' is left-associative division, the two
-readings always evaluate identically.
+through this parser.  '/' is left-associative; a number divided by a number
+is folded into one exact rational, so ``3/4`` parses to ``Number(3/4)`` and
+``pi/2/3`` to ``(pi / 2) / 3``.  A zero divisor in such a fold is a syntax
+error.
 
 Syntax errors carry the offending position; evaluation rejects sqrt/ln of a
 non-positive value, naming the offending subexpression.
@@ -96,7 +97,6 @@ ConstExpr = Union[Number, Name, Neg, BinOp, Call]
 class _Token:
     kind: str  # 'number', 'name', 'op', 'end'
     text: str
-    value: Union[Fraction, None]
     position: int
 
 
@@ -113,32 +113,20 @@ def _tokenize(text: str) -> list[_Token]:
             start = i
             while i < n and text[i].isdigit():
                 i += 1
-            numerator = int(text[start:i])
-            value = Fraction(numerator)
-            # greedy rational literal: digits '/' digits
-            if i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
-                i += 1
-                dstart = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                denominator = int(text[dstart:i])
-                if denominator == 0:
-                    raise ExprSyntaxError("rational literal with zero denominator", start)
-                value = Fraction(numerator, denominator)
-            tokens.append(_Token("number", text[start:i], value, start))
+            tokens.append(_Token("number", text[start:i], start))
             continue
         if ch.isalpha() or ch == "_":
             start = i
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(_Token("name", text[start:i], None, start))
+            tokens.append(_Token("name", text[start:i], start))
             continue
         if ch in "+-*/()":
-            tokens.append(_Token("op", ch, None, i))
+            tokens.append(_Token("op", ch, i))
             i += 1
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", None, n))
+    tokens.append(_Token("end", "", n))
     return tokens
 
 
@@ -190,7 +178,13 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "*/":
                 self.advance()
-                node = BinOp(tok.text, node, self.factor())
+                right = self.factor()
+                if tok.text == "/" and isinstance(node, Number) and isinstance(right, Number):
+                    if right.value == 0:
+                        raise ExprSyntaxError("rational with zero denominator", tok.position)
+                    node = Number(node.value / right.value)
+                else:
+                    node = BinOp(tok.text, node, right)
             else:
                 return node
 
@@ -201,7 +195,7 @@ class _Parser:
             return Neg(self.factor())
         if tok.kind == "number":
             self.advance()
-            return Number(tok.value)
+            return Number(Fraction(int(tok.text)))
         if tok.kind == "name":
             self.advance()
             if tok.text in _CONSTANTS:

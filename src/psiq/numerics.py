@@ -13,6 +13,12 @@ within (1 + q/(3j))*2^-P.  pi, gamma, ln p and pi*cot(pi*x) enter rounded to
 W bits.  The coefficient x basis products and their sum are exact integers,
 rounded once to W bits.
 
+The tables and those four constants live in one cache (:class:`_ValueCache`),
+a bounded, thread-safe LRU whose budget counts slots: q//2 + 1 per table, one
+per constant.  Its keys hold only ints and strings, its values are
+context-free (tables of integers, raw libmp constants), and each thread wraps
+a constant in its own mpmath context.
+
 Two independent digamma oracles are provided:
 
 * :func:`oracle_psi_series` - direct partial sum of
@@ -28,13 +34,12 @@ numbers are exact, from integer tangent numbers (Brent & Harvey, 2011).
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import mpmath
 from mpmath import libmp
@@ -61,43 +66,11 @@ GUARD_DIGITS = 15
 BigReal = Any  # mpmath.mpf bound to a per-precision context
 
 _mp_contexts = threading.local()  # .by_dps: this thread's {dps: context}
-_VALUE_CACHE_SIZE = 16384
 _EXTRA_BITS = 32  # fixed-point bits beyond the working precision
 _BLOCK = 64  # sines filled from one cos/sin evaluation by rotation
-_SLOT_BUDGET = 1 << 16  # table slots the table cache keeps, over all tables
+_SLOT_BUDGET = 1 << 16  # slots the value cache keeps, over all its entries
 _bernoulli: list[Fraction] = []  # [B_2, B_4, ...]
 _bernoulli_lock = threading.Lock()
-
-
-@functools.lru_cache(maxsize=_VALUE_CACHE_SIZE)
-def _constant(key: tuple) -> BigReal:
-    """The constant a key names: (workdps, "pi"), (digits, guard, "gamma"),
-    or (workdps, kind, arg) for a picot or logprime basis term.
-
-    A miss computes in the asking thread's context, so a hit may return
-    another thread's value (see :func:`_own`).  functools' LRU is bounded
-    and thread-safe and hashes a key once per hit; an OrderedDict would hash
-    it again to move it to the end, and a Fraction's hash is Python code.
-    """
-    if key[-1] == "gamma":
-        return -oracle_psi_asymptotic(Fraction(1), EvalContext(key[0], key[1]))
-    m = _mp_for(key[0])
-    kind = key[1]
-    if kind == "pi":
-        return +m.pi
-    if kind == "logprime":
-        return m.log(key[2])
-    if kind == "picot":
-        x = m.mpf(key[2].numerator) / key[2].denominator
-        return m.pi * m.cot(m.pi * x)
-    raise ValueError(f"unknown basis term kind {kind!r}")
-
-
-def _own(v: BigReal, ctx: "EvalContext") -> BigReal:
-    """``v`` in this thread's context at ``ctx``'s precision: the left operand's
-    context sets the precision of an mpmath operation."""
-    m = ctx.mp
-    return v if v.context is m else m.make_mpf(v._mpf_)
 
 
 def _mp_for(dps: int):
@@ -148,12 +121,17 @@ def comparison_tolerance(ctx: EvalContext) -> BigReal:
 
 def const_pi(ctx: EvalContext) -> BigReal:
     """pi at the context's working precision."""
-    return _own(_constant((ctx.workdps, "pi")), ctx)
+    dps = ctx.workdps
+    return ctx.mp.make_mpf(_values.get((dps, "pi"), 1, lambda: (+_mp_for(dps).pi)._mpf_))
 
 
 def const_gamma(ctx: EvalContext) -> BigReal:
     """The Euler constant, defined as -psi(1) via the asymptotic oracle."""
-    return _own(_constant((ctx.digits, ctx.guard, "gamma")), ctx)
+    # D is in the key beside the working precision: the oracle shifts to
+    # x >= max(20, D) and truncates at 10^-(D+10), so its value depends on D
+    key = (ctx.workdps, "gamma", ctx.digits)
+    value = _values.get(key, 1, lambda: (-oracle_psi_asymptotic(Fraction(1), ctx))._mpf_)
+    return ctx.mp.make_mpf(value)
 
 
 # ---------------------------------------------------------------------------
@@ -252,45 +230,67 @@ class _SineTable:
         return value
 
 
-class _TableCache:
-    """Bounded, thread-safe LRU of sine tables keyed by (prec, q).
+class _ValueCache:
+    """Bounded, thread-safe LRU of the values evaluation reuses, all of them
+    context-free, so threads share them:
 
-    Its size counts table slots, not tables: a new table evicts whole
-    least-recently-used tables until the tables kept hold at most
-    _SLOT_BUDGET slots.  A table larger than the budget is still returned
-    to its caller, but neither kept nor allowed to evict a kept table.
+    * the sine table of a common denominator q at P bits, keyed (P, q), of
+      q//2 + 1 slots;
+    * pi, gamma, ln p and pi*cot(pi*m/q) as raw libmp values at the working
+      precision, one slot each, keyed (workdps, "pi"), (workdps, "gamma", D),
+      (workdps, "logprime", p) and (workdps, "picot", m, q).  gamma's value
+      depends on D as well (:func:`const_gamma`), so its key holds D.
+
+    A new entry evicts least-recently-used ones until the entries kept hold
+    at most _SLOT_BUDGET slots; one larger than the budget is returned
+    without being kept and evicts nothing.  A missing value is computed
+    outside the lock (gamma at D = 1000 takes about 0.1 s); when two threads
+    compute the same entry, the values are equal and the first one stored is
+    kept.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tables: OrderedDict[tuple[int, int], _SineTable] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()  # (value, slots)
         self.slots = 0
-        self.builds = 0
+        self.misses = 0
 
-    def get(self, q: int, prec: int) -> _SineTable:
-        key = (prec, q)
+    def get(self, key: tuple, slots: int, compute: Callable[[], Any]) -> Any:
         with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
-                self._tables.move_to_end(key)
-                return table
-            table = _SineTable(q, prec)
-            self.builds += 1
-            if table.slots > _SLOT_BUDGET:
-                return table
-            self._tables[key] = table
-            self.slots += table.slots
-            while self.slots > _SLOT_BUDGET:
-                self.slots -= self._tables.popitem(last=False)[1].slots
-            return table
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+        value = compute()
+        with self._lock:
+            self.misses += 1
+            if slots <= _SLOT_BUDGET and key not in self._entries:
+                self._entries[key] = (value, slots)
+                self.slots += slots
+                while self.slots > _SLOT_BUDGET:
+                    self.slots -= self._entries.popitem(last=False)[1][1]
+        return value
 
     def clear(self) -> None:
         with self._lock:
-            self._tables.clear()
+            self._entries.clear()
             self.slots = 0
 
 
-_tables = _TableCache()
+_values = _ValueCache()
+
+
+def _basis_value(kind: str, arg: Any, dps: int) -> tuple:
+    """The raw libmp value of ln p or pi*cot(pi*x) at ``dps`` digits."""
+    if kind == "logprime":
+        return _values.get((dps, kind, arg), 1, lambda: _mp_for(dps).log(arg)._mpf_)
+    if kind == "picot":
+        n, d = arg.numerator, arg.denominator
+        m = _mp_for(dps)
+        return _values.get(
+            (dps, kind, n, d), 1, lambda: (m.pi * m.cot(m.pi * (m.mpf(n) / d)))._mpf_
+        )
+    raise ValueError(f"unknown basis term kind {kind!r}")
 
 
 def _scaled(x: Fraction, value: int) -> int:
@@ -318,7 +318,7 @@ def _fixed_sum(
     work = libmp.dps_to_prec(ctx.workdps)
     prec = work + _EXTRA_BITS
     one = 1 << prec
-    table = _tables.get(q, prec) if q > 1 else None
+    table = _values.get((prec, q), q // 2 + 1, lambda: _SineTable(q, prec)) if q > 1 else None
     total = 0
     for term, coeff in pairs:
         c = _scaled(coeff.rational, one)
@@ -336,7 +336,7 @@ def _fixed_sum(
         elif kind == "gamma":
             basis = libmp.to_fixed(const_gamma(ctx)._mpf_, prec)
         else:
-            basis = libmp.to_fixed(_constant((ctx.workdps, kind, term.arg))._mpf_, prec)
+            basis = libmp.to_fixed(_basis_value(kind, term.arg, ctx.workdps), prec)
         total += c * basis
     return ctx.mp.make_mpf(libmp.from_man_exp(total, -2 * prec, work, libmp.round_nearest))
 

@@ -93,6 +93,16 @@ class TestEvaluation:
             assert eval_const_expr(parse_const_expr(text), ctx) == expected
         half_pi = eval_const_expr(parse_const_expr("1/2*pi"), ctx)
         assert abs(half_pi - const_pi(ctx) / 2) == 0
+        # a number after '/' divides what precedes it, not only its digits
+        pi, ln2 = const_pi(ctx), ctx.mp.log(2)
+        divided = {
+            "12/3/2": 2,
+            "pi/2/3": pi / 2 / 3,
+            "2*pi/3/4": 2 * pi / 3 / 4,
+            "ln(2)/3/4": ln2 / 3 / 4,
+        }
+        for text, expected in divided.items():
+            assert eval_const_expr(parse_const_expr(text), ctx) == expected, text
 
     def test_rational_literal_value(self, ctx):
         assert eval_const_expr(parse_const_expr("3/4"), ctx) == 0.75

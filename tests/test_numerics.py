@@ -21,6 +21,7 @@ from psiq import (
     psi_closed,
 )
 from psiq.closedform import ClosedForm, CosineCombination, log_sin, pi_cot
+from psiq.formulas import gauss_1813, gr_variant, murty_saradha, nielsen
 from psiq.numerics import comparison_tolerance, eval_cosine_combination
 from psiq.rationals import PoleError, upward_sum
 
@@ -58,6 +59,22 @@ def sequential_upward_sum(r: Fraction, steps: int) -> Fraction:
 
 def mpmath_bernoulli_even(k: int) -> Fraction:
     return Fraction(*(int(part) for part in mpmath.bernfrac(2 * k)))
+
+
+def run_threads(work, count: int, timeout: float) -> None:
+    """Run work(0) .. work(count - 1) in threads at a 1 us switch interval and
+    check that every one finished."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 @pytest.fixture
@@ -147,17 +164,7 @@ class TestBernoulli:
             got = {k: bernoulli_even(k) for k in order}
             results[i] = [got[k] for k in ks]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(work, 8, timeout=60)
         assert results == [[mpmath_bernoulli_even(k) for k in ks]] * 8
 
 
@@ -265,7 +272,7 @@ class TestFixedPointEvaluator:
     def test_forms_that_callers_build(self, form, ctx50):
         limit = ctx50.mp.mpf(10) ** -55
         assert abs(eval_closed_form(form, ctx50) - reference_eval(form, ctx50)) < limit
-        assert numerics._tables.slots <= numerics._SLOT_BUDGET
+        assert numerics._values.slots <= numerics._SLOT_BUDGET
 
     def test_cosine_combination(self, ctx50):
         c = CosineCombination.from_cos(Fraction(3, 5), Fraction(7, 3)) + CosineCombination.from_rational(
@@ -291,7 +298,8 @@ class TestFixedPointEvaluator:
 
 
 class TestValueCache:
-    """The table cache, with its budget lowered to three tables at q near 3000."""
+    """The one value cache of tables and constants, with its budget lowered
+    to three tables at q near 3000."""
 
     BUDGET = 6000
     QS = (3001, 3011, 3019, 3023, 3037, 3041)
@@ -299,28 +307,36 @@ class TestValueCache:
     @pytest.fixture
     def small_budget(self, monkeypatch):
         monkeypatch.setattr(numerics, "_SLOT_BUDGET", self.BUDGET)
-        numerics._tables.clear()
+        numerics._values.clear()
         yield
-        numerics._tables.clear()
+        numerics._values.clear()
 
     @pytest.fixture(scope="class")
     def sweep(self):
         """Evaluate psi(1/2999) from an empty cache, then six more forms at
         q near 3000 (about 1500 slots each), then psi(1/2999) again."""
         ctx = EvalContext(20)
+        built = []
+        table = numerics._SineTable
+
+        def counted_table(q, prec):
+            built.append(q)
+            return table(q, prec)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numerics, "_SLOT_BUDGET", self.BUDGET)
-            numerics._tables.clear()
+            patch.setattr(numerics, "_SineTable", counted_table)
+            numerics._values.clear()
             first = psi_closed(Fraction(1, 2999))
             cold = eval_closed_form(first, ctx)
             sizes = []
             for q in self.QS:
                 eval_closed_form(psi_closed(Fraction(2, q)), ctx)
-                sizes.append(numerics._tables.slots)
-            builds = numerics._tables.builds
+                sizes.append(numerics._values.slots)
+            builds = len(built)
             recomputed = eval_closed_form(first, ctx)
-            rebuilt = numerics._tables.builds - builds
-            numerics._tables.clear()
+            rebuilt = built[builds:]
+            numerics._values.clear()
         return cold, sizes, rebuilt, recomputed
 
     def test_size_never_exceeds_bound(self, sweep):
@@ -331,7 +347,7 @@ class TestValueCache:
 
     def test_recomputed_value_equals_cold_value(self, sweep):
         cold, _, rebuilt, recomputed = sweep
-        assert rebuilt == 1  # its table was evicted
+        assert rebuilt == [2999]  # its table was evicted; tables only
         assert recomputed == cold
 
     def test_threads_match_serial_run(self, small_budget):
@@ -341,48 +357,87 @@ class TestValueCache:
         qs = (2999, 3001, 3011, 3019, 3023, 3037, 3041, 3049)
         forms = [psi_closed(Fraction(i + 1, q)) for i, q in enumerate(qs)]
         serial = [eval_closed_form(form, ctx) for form in forms]
-        numerics._tables.clear()
+        numerics._values.clear()
         results: list[list] = [[] for _ in forms]
 
         def work(i: int) -> None:
             results[i] = [eval_closed_form(forms[i], ctx) for _ in range(2)]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(forms))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(work, len(forms), timeout=120)
         assert results == [[value] * 2 for value in serial]
-        assert self.BUDGET - 1525 < numerics._tables.slots <= self.BUDGET
+        assert self.BUDGET - 1525 < numerics._values.slots <= self.BUDGET
+
+    def test_shared_constants_under_concurrent_misses(self, small_budget):
+        # the three constructions at one p/q share their pi*cot and ln p
+        # entries, which eight threads compute at once from an empty cache
+        ctx = EvalContext(30)
+        forms = [
+            construction(p, q)
+            for p, q in ((1, 60), (7, 60), (5, 84), (11, 84), (3, 97))
+            for construction in (gauss_1813, nielsen, murty_saradha)
+        ]
+        serial = [eval_closed_form(form, ctx) for form in forms]
+        start = threading.Barrier(8)
+
+        def work(i: int) -> None:
+            start.wait(timeout=60)
+            results[i] = [eval_closed_form(form, ctx) for form in forms]
+
+        for _ in range(5):
+            numerics._values.clear()
+            results: list[list] = [[] for _ in range(8)]
+            run_threads(work, 8, timeout=120)
+            assert results == [serial] * 8
+            entries = numerics._values._entries
+            assert numerics._values.slots == sum(slots for _, slots in entries.values())
+            # tables at q = 60, 84, 97; gamma, ln 2, 3, 5, 7, 97; 5 pi*cot entries
+            assert len(entries) == 3 + 6 + 5
+
+    def test_constants_cross_threads_in_the_asking_context(self, small_budget):
+        ctx = EvalContext(40)
+        serial = (const_pi(ctx), const_gamma(ctx))
+        numerics._values.clear()
+        computed = []
+        run_threads(lambda i: computed.extend((const_pi(ctx), const_gamma(ctx))), 1, timeout=60)
+        misses = numerics._values.misses
+        mine = (const_pi(ctx), const_gamma(ctx))
+        assert numerics._values.misses == misses  # both came from the cache
+        assert all(v.context is not ctx.mp for v in computed)
+        assert all(v.context is ctx.mp for v in mine)
+        assert mine == tuple(computed) == serial
+
+    def test_keys_hold_only_ints_and_strings(self, small_budget, ctx50):
+        for construction in (murty_saradha, gauss_1813, nielsen, gr_variant):
+            eval_closed_form(construction(5, 12), ctx50)
+        eval_closed_form(psi_closed(Fraction(-7, 30)), ctx50)
+        const_pi(ctx50)
+        keys = list(numerics._values._entries)
+        assert {key[1] for key in keys} >= {"gamma", "pi", "picot", "logprime"}
+        assert all(type(part) in (int, str) for key in keys for part in key)
 
     def test_table_over_the_budget_evicts_nothing(self, ctx50):
         # a lone ln sin(pi/1000003) needs 500002 slots, more than the budget
-        numerics._tables.clear()
+        numerics._values.clear()
         try:
             for q in (7, 11, 13):
                 eval_closed_form(psi_closed(Fraction(1, q)), ctx50)
-            kept = list(numerics._tables._tables)
-            assert (len(kept), numerics._tables.slots) == (3, 4 + 6 + 7)
-            builds = numerics._tables.builds
+            kept = list(numerics._values._entries)
+            # tables of 4 + 6 + 7 slots; gamma, ln 2, and pi*cot and ln q of each q
+            assert (len(kept), numerics._values.slots) == (3 + 8, 17 + 8)
+            misses = numerics._values.misses
             eval_closed_form(ClosedForm.build({log_sin(Fraction(1, 1000003)): 1}), ctx50)
-            assert numerics._tables.builds == builds + 1
-            assert list(numerics._tables._tables) == kept
-            assert numerics._tables.slots == 17
+            assert numerics._values.misses == misses + 1
+            assert list(numerics._values._entries) == kept
+            assert numerics._values.slots == 25
         finally:
-            numerics._tables.clear()
+            numerics._values.clear()
 
     def test_second_evaluation_at_q30011_builds_no_table(self, ctx50):
         form = psi_closed(Fraction(1, 30011))
         first = eval_closed_form(form, ctx50)
-        builds = numerics._tables.builds
+        misses = numerics._values.misses
         assert eval_closed_form(form, ctx50) == first
-        assert numerics._tables.builds == builds
+        assert numerics._values.misses == misses
 
 
 class TestSeriesOracle:
