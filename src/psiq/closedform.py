@@ -186,7 +186,9 @@ GAMMA = BasisTerm("gamma")
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
+    """True only for an int that is prime: a Fraction, float or bool that
+    equals a prime is not one."""
+    if type(n) is not int or n < 2:
         return False
     if n % 2 == 0:
         return n == 2

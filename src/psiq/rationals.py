@@ -92,24 +92,46 @@ class ShiftDecomposition:
     step_count: int
 
 
-def _reciprocal_sum(a: int, c: int, lo: int, hi: int) -> tuple[int, int]:
-    """Return (p, q), unreduced, with p/q = sum of 1/(a + c*k) for lo <= k < hi.
+# most terms per leaf of the splitting in _reciprocal_sum; a leaf of a longer
+# sum holds between half of this and all of it.  Sizes 8 to 128 were timed at
+# 479 and 12,000 steps: the sum gets faster up to about 48 and then flattens,
+# and 32 is within 9 % of the fastest size.  A leaf keeps the product of its
+# terms, so the top denominator grows with the leaf: at 10**4 steps from 1/3
+# it exceeds the reduced one by 30 bits at 32 (leaves of 20 terms) and by 108
+# at 40 to 64 (leaves of 40).
+_LEAF = 32
 
-    Binary splitting: the halves merge as (p1*q2 + p2*q1, q1*q2), so no gcd
-    is taken and the operands of each multiplication have similar sizes.
+
+def _reciprocal_sum(a: int, c: int, lo: int, hi: int) -> tuple[int, int]:
+    """Return (p, q) with p/q = sum of 1/(a + c*k) for lo <= k < hi.
+
+    Binary splitting over leaves of at most ``_LEAF`` terms.  A leaf sums its
+    terms in one loop over the product of their denominators.  Above the
+    leaves, halves merge over g = gcd(q1, q2) as
+    (p1*(q2/g) + p2*(q1/g), (q1/g)*q2), so each node's denominator is the lcm
+    of its two halves' and the top one is within a few bits of the reduced
+    denominator of the sum.  p/q itself is not reduced.
     """
-    if hi - lo == 1:
-        return 1, a + c * lo
+    if hi - lo <= _LEAF:
+        p, q = 0, 1
+        for d in range(a + c * lo, a + c * hi, c):
+            p, q = p * d + q, q * d
+        return p, q
     mid = (lo + hi) // 2
     p1, q1 = _reciprocal_sum(a, c, lo, mid)
     p2, q2 = _reciprocal_sum(a, c, mid, hi)
-    return p1 * q2 + p2 * q1, q1 * q2
+    g = math.gcd(q1, q2)
+    r1, r2 = q1 // g, q2 // g
+    return p1 * r2 + p2 * r1, r1 * q2
 
 
 def upward_sum(x: Fraction, n: int) -> Fraction:
     """Sum of 1/(x + k) for 0 <= k < n, by binary splitting (0 for n = 0).
 
-    With x = a/c the sum is c * sum of 1/(a + c*k); no term may be 1/0.
+    With x = a/c the sum is c * sum of 1/(a + c*k); no term may be 1/0.  The
+    splitting keeps each node over the lcm of its range's denominators
+    (``_reciprocal_sum``), so the final Fraction reduces a numerator and
+    denominator that are within a few bits of their reduced sizes.
     """
     if n == 0:
         return Fraction(0)
@@ -123,12 +145,15 @@ def shift_decompose(r: Fraction) -> ShiftDecomposition:
 
     With x = a/c the base (downward, r > 1) or r itself (upward, r < 0), the
     correction is +-c * sum of 1/(a + c*k) over the n = step_count terms.  The
-    sum is formed by binary splitting (Haible & Papanikolaou, 1998) as one
-    unreduced numerator/denominator pair of N = O(n log(nc)) bits, in
-    O(log n) levels of balanced products (O(M(N) log n) time, M(N) the cost
-    of one N-bit product), and reduced by a single gcd when the Fraction is
-    built.  That gcd is quadratic in N: it costs about as much as the
-    splitting at 10**4 steps and three times as much at 10**5.
+    sum is formed by binary splitting (Haible & Papanikolaou, 1998) in
+    O(log n) levels of balanced products, with each node kept over the lcm of
+    its range's denominators: halves merge over g = gcd(q1, q2) as
+    (p1*(q2/g) + p2*(q1/g), (q1/g)*q2), and only the leaves of ``_LEAF``
+    terms use the plain product.  The top denominator is then within a few
+    bits of the lcm of all n terms, so the gcd that reduces the Fraction
+    (quadratic in its operands) runs on numbers of about the reduced size,
+    not on the O(n log(nc))-bit product of every term: at 10**4 steps from
+    1/3, 32,475 bits against the reduced 32,445 and the product's 134,298.
     """
     if classify(r) is ArgumentClass.POLE:
         raise PoleError("digamma pole at non-positive integer")

@@ -181,6 +181,14 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             ClosedForm.build({BasisTerm("logprime", 9): cc(1)})
 
+    @pytest.mark.parametrize("arg", [Fraction(7, 2), Fraction(7, 1), 7.0, True])
+    def test_prime_must_be_an_int(self, arg):
+        # accepted, 7/2 would evaluate as ln 3.5 and put a Fraction into a cache key
+        with pytest.raises(ValueError, match="requires a prime"):
+            log_prime(arg)
+        with pytest.raises(ValueError, match="requires a prime"):
+            ClosedForm.build({BasisTerm("logprime", arg): cc(1)})
+
     def test_integer_angles_rejected(self):
         with pytest.raises(ValueError):
             pi_cot(Fraction(2))

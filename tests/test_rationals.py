@@ -1,8 +1,9 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psiq import (
@@ -17,6 +18,7 @@ from psiq import (
     shift_decompose,
 )
 from psiq.numerics import comparison_tolerance
+from psiq.rationals import _LEAF, _reciprocal_sum, upward_sum
 
 from conftest import random_rationals
 
@@ -177,6 +179,46 @@ class TestShiftDecompose:
                 sd.correction
             )
             assert abs(lhs - rhs) < tol
+
+
+def digest(r: Fraction) -> str:
+    return hashlib.sha256(f"{r.numerator:x}/{r.denominator:x}".encode()).hexdigest()
+
+
+class TestUpwardSum:
+    @settings(deadline=None)
+    @given(
+        st.fractions(min_value=-3000, max_value=3000, max_denominator=60),
+        st.integers(0, 2000) | st.sampled_from([_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1]),
+    )
+    def test_matches_sequential_sum(self, x, n):
+        assume(not (x.denominator == 1 and x <= 0 and n > -x))  # a 1/0 term
+        assert upward_sum(x, n) == sum((1 / (x + k) for k in range(n)), Fraction(0))
+
+    # sha256 of the reduced sums as the earlier product-merging splitting gave them
+    @pytest.mark.parametrize(
+        "total,expected",
+        [
+            (
+                lambda: upward_sum(Fraction(1, 3), 10**5),
+                "78958dfee80e95d68475f3b1c21ab31bc68c26c8eef9b64357baa79e14804c23",
+            ),
+            (
+                lambda: shift_decompose(Fraction(-400001, 4)).correction,
+                "4828818989b692e0e58f8452aefa99c55b79baebb236d05a518f5b60750d1aea",
+            ),
+        ],
+        ids=["from_1_3_by_1e5", "from_-400001_4_to_3_4"],
+    )
+    def test_large_shifts_match_pinned_digests(self, total, expected):
+        assert digest(total()) == expected
+
+    def test_top_denominator_is_near_the_reduced_one(self):
+        # merging halves by the plain product gives 134,298 bits here
+        reduced = upward_sum(Fraction(1, 3), 10**4).denominator
+        assert reduced.bit_length() == 32445
+        _, q = _reciprocal_sum(1, 3, 0, 10**4)
+        assert q.bit_length() - reduced.bit_length() <= 64
 
 
 class TestHarmonic:
