@@ -15,10 +15,10 @@ Canonical conventions:
   cos(pi/2) = 0 is dropped;
 * its denominator is minimal, gcd(q, k_1, k_2, ...) = 1, and q = 1 when no
   cosine is stored, so one combination has exactly one representation;
-* pi*cot(pi*x) angles are folded into (0, 1/2] using
-  cot(pi*(1-x)) = -cot(pi*x); the x = 1/2 term is exactly zero and is deleted;
-* ln sin(pi*x) angles are folded into (0, 1/2] using
-  sin(pi*(1-x)) = sin(pi*x); the x = 1/2 term is ln 1 = 0 and is deleted;
+* a pi*cot(pi*x) or ln sin(pi*x) angle x = m/q is stored as the reduced
+  int pair (m, q) with 0 < m < q, and :meth:`ClosedForm.build` folds it into
+  (0, 1/2) using cot(pi*(1-x)) = -cot(pi*x) and sin(pi*(1-x)) = sin(pi*x);
+  the x = 1/2 terms are exactly zero (cot(pi/2) = 0, ln 1 = 0) and deleted;
 * logarithms of integers are decomposed over primes, so ln(2q) and ln 12
   compare structurally.
 
@@ -49,9 +49,6 @@ __all__ = [
     "render",
 ]
 
-_HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
-
 Scalar = Union[int, Fraction]
 
 
@@ -59,17 +56,16 @@ def _as_fraction(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _check_angle(angle: Scalar) -> None:
+    """Reject an angle that is not exact: a float 0.1 would be folded as a
+    binary fraction over 2^55."""
+    if isinstance(angle, bool) or not isinstance(angle, (int, Fraction)):
+        raise ValueError(f"an angle must be an int or a Fraction, got {angle!r}")
+
+
 # ---------------------------------------------------------------------------
 # Cosine-combination coefficients
 # ---------------------------------------------------------------------------
-
-
-def _fold_cos_angle(angle: Fraction) -> Fraction:
-    """Fold an angle (in full turns) into [0, 1/2] for cos(2*pi*angle)."""
-    a = angle % 1
-    if a > _HALF:
-        a = 1 - a
-    return a
 
 
 @dataclass(frozen=True)
@@ -110,17 +106,18 @@ class CosineCombination:
     @classmethod
     def from_cos(cls, angle: Fraction, coeff: Scalar = 1) -> "CosineCombination":
         """The combination coeff*cos(2*pi*angle), angle folded canonically."""
+        _check_angle(angle)
         c = _as_fraction(coeff)
-        if c == 0:
-            return cls()
-        a = _fold_cos_angle(angle)
-        if a == 0:
+        q = angle.denominator
+        k = angle.numerator % q
+        k = min(k, q - k)  # cos(2*pi*(1-x)) = cos(2*pi*x)
+        if c == 0 or 4 * k == q:
+            return cls()  # cos(pi/2) = 0
+        if k == 0:
             return cls(c)
-        if a == _HALF:
-            return cls(-c)
-        if a == _QUARTER:
-            return cls()
-        return cls(Fraction(0), a.denominator, ((a.numerator, c),))
+        if 2 * k == q:
+            return cls(-c)  # cos(pi) = -1
+        return cls(Fraction(0), q, ((k, c),))
 
     @classmethod
     def from_numerators(
@@ -165,26 +162,6 @@ class CosineCombination:
 _KIND_ORDER = {"unit": 0, "gamma": 1, "picot": 2, "logprime": 3, "logsin": 4}
 
 
-@dataclass(frozen=True)
-class BasisTerm:
-    """One irreducible basis constant of a closed form.
-
-    kind/arg pairs: ("unit", None) the constant 1; ("gamma", None) the Euler
-    constant; ("picot", x) pi*cot(pi*x); ("logprime", p) ln p;
-    ("logsin", x) ln sin(pi*x).
-    """
-
-    kind: str
-    arg: Union[Fraction, int, None] = None
-
-    def sort_key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.arg if self.arg is not None else 0)
-
-
-UNIT = BasisTerm("unit")
-GAMMA = BasisTerm("gamma")
-
-
 def _is_prime(n: int) -> bool:
     """True only for an int that is prime: a Fraction, float or bool that
     equals a prime is not one."""
@@ -200,32 +177,79 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class BasisTerm:
+    """One irreducible basis constant of a closed form.
+
+    kind/arg pairs: ("unit", None) the constant 1; ("gamma", None) the Euler
+    constant; ("picot", (m, q)) pi*cot(pi*m/q); ("logprime", p) ln p;
+    ("logsin", (m, q)) ln sin(pi*m/q).  An angle m/q is a pair of ints in
+    lowest terms with 0 < m < q, and p is a prime int; anything else raises
+    ValueError, so every stored term has a finite value.  ``ClosedForm.build``
+    folds angles past the half turn; :func:`pi_cot` and :func:`log_sin`
+    reduce any non-integer rational angle mod 1.
+    """
+
+    kind: str
+    arg: Union[tuple[int, int], int, None] = None
+
+    def __post_init__(self) -> None:
+        kind, arg = self.kind, self.arg
+        if kind in ("picot", "logsin"):
+            if not (
+                type(arg) is tuple
+                and len(arg) == 2
+                and type(arg[0]) is int
+                and type(arg[1]) is int
+                and 0 < arg[0] < arg[1]
+                and math.gcd(*arg) == 1
+            ):
+                raise ValueError(f"{kind} angle must be reduced ints 0 < m < q, got {arg!r}")
+        elif kind == "logprime":
+            if not _is_prime(arg):
+                raise ValueError(f"log_prime requires a prime, got {arg!r}")
+        elif kind not in ("unit", "gamma") or arg is not None:
+            raise ValueError(f"unknown basis term {kind!r} with argument {arg!r}")
+
+    def sort_key(self) -> tuple:
+        if self.kind in ("picot", "logsin"):
+            return (_KIND_ORDER[self.kind], Fraction(*self.arg))
+        return (_KIND_ORDER[self.kind], self.arg or 0)
+
+
+UNIT = BasisTerm("unit")
+GAMMA = BasisTerm("gamma")
+
+
+def _angle_term(kind: str, angle: Fraction, zero: str) -> BasisTerm:
+    """The ``kind`` term of a rational angle reduced mod 1; an integer angle
+    raises ValueError with the message ``zero.format(angle)``."""
+    _check_angle(angle)
+    q = angle.denominator
+    if q == 1:
+        raise ValueError(zero.format(angle))
+    return BasisTerm(kind, (angle.numerator % q, q))
+
+
 def pi_cot(angle: Fraction) -> BasisTerm:
-    """Basis term pi*cot(pi*angle); any non-integer rational angle is accepted
-    and folded canonically when a form is built."""
-    angle = _as_fraction(angle)
-    if angle.denominator == 1:
-        raise ValueError(f"cot(pi*{angle}) is a pole")
-    return BasisTerm("picot", angle)
+    """Basis term pi*cot(pi*angle) for a non-integer rational angle, stored
+    mod 1 and folded canonically when a form is built."""
+    return _angle_term("picot", angle, "cot(pi*{}) is a pole")
 
 
 def log_sin(angle: Fraction) -> BasisTerm:
-    """Basis term ln sin(pi*angle); non-integer rational angle, folded on build."""
-    angle = _as_fraction(angle)
-    if angle.denominator == 1:
-        raise ValueError(f"ln sin(pi*{angle}) is a log of zero")
-    return BasisTerm("logsin", angle)
+    """Basis term ln sin(pi*angle) for a non-integer rational angle, stored
+    mod 1 and folded canonically when a form is built."""
+    return _angle_term("logsin", angle, "ln sin(pi*{}) is a log of zero")
 
 
 def log_prime(p: int) -> BasisTerm:
-    if not _is_prime(p):
-        raise ValueError(f"log_prime requires a prime, got {p}")
     return BasisTerm("logprime", p)
 
 
 def factor_log_integer(n: int) -> dict[BasisTerm, Fraction]:
     """Decompose ln n (n >= 1) over prime logarithms: {ln p: multiplicity}.
-    Trial division yields only primes, so no factor is tested again."""
+    Trial division yields only primes."""
     if n < 1:
         raise ValueError("logarithm of a non-positive integer")
     out: dict[BasisTerm, Fraction] = {}
@@ -275,9 +299,10 @@ class ClosedForm:
     ) -> "ClosedForm":
         """Canonicalize and assemble a form from (term, coefficient) pairs.
 
-        Folds picot/logsin angles into (0, 1/2], deletes the exactly-zero
-        basis terms pi*cot(pi/2) and ln sin(pi/2), merges duplicates and
-        drops zero coefficients.
+        Folds a picot/logsin angle m/q past the half turn to (q - m)/q,
+        negating the coefficient of pi*cot, deletes the exactly-zero basis
+        terms pi*cot(pi/2) and ln sin(pi/2), merges duplicates and drops
+        zero coefficients.
         """
         pairs = items.items() if isinstance(items, Mapping) else items
         acc: dict[BasisTerm, CosineCombination] = {}
@@ -290,33 +315,14 @@ class ClosedForm:
             coeff = _as_combination(raw)
             if coeff.is_zero:
                 continue
-            if term.kind == "picot":
-                a = term.arg % 1
-                if a == 0:
-                    raise ValueError("cot(pi*integer) is a pole")
-                if a > _HALF:
-                    a = 1 - a
-                    coeff = -coeff
-                if a == _HALF:
-                    continue  # cot(pi/2) = 0
-                add(BasisTerm("picot", a), coeff)
-            elif term.kind == "logsin":
-                a = term.arg % 1
-                if a == 0:
-                    raise ValueError("ln sin(pi*integer) is a log of zero")
-                if a > _HALF:
-                    a = 1 - a
-                if a == _HALF:
-                    continue  # ln sin(pi/2) = 0
-                add(BasisTerm("logsin", a), coeff)
-            elif term.kind == "logprime":
-                if not _is_prime(term.arg):
-                    raise ValueError(f"log_prime requires a prime, got {term.arg}")
-                add(term, coeff)
-            elif term.kind in ("unit", "gamma"):
-                add(term, coeff)
-            else:
-                raise ValueError(f"unknown basis term kind {term.kind!r}")
+            if term.kind in ("picot", "logsin") and 2 * term.arg[0] >= term.arg[1]:
+                m, q = term.arg
+                if 2 * m == q:
+                    continue  # cot(pi/2) = 0 and ln sin(pi/2) = 0
+                term = BasisTerm(term.kind, (q - m, q))
+                if term.kind == "picot":
+                    coeff = -coeff  # cot(pi*(1-x)) = -cot(pi*x)
+            add(term, coeff)
 
         cleaned = [(t, c) for t, c in acc.items() if not c.is_zero]
         cleaned.sort(key=lambda tc: tc[0].sort_key())
@@ -344,70 +350,56 @@ def _int_text(n: int) -> str:
     return str(Decimal(n))
 
 
-def _frac_plain(x: Fraction) -> str:
+def _frac(x: Scalar, latex: bool) -> str:
+    """A non-negative rational as text."""
     if x.denominator == 1:
         return _int_text(x.numerator)
-    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+    n, d = _int_text(x.numerator), _int_text(x.denominator)
+    return rf"\frac{{{n}}}{{{d}}}" if latex else f"{n}/{d}"
 
 
-def _frac_latex(x: Fraction) -> str:
-    if x.denominator == 1:
-        return _int_text(x.numerator)
-    sign = "-" if x < 0 else ""
-    return rf"{sign}\frac{{{_int_text(abs(x.numerator))}}}{{{_int_text(x.denominator)}}}"
+def _times(mag: Scalar, body: str, latex: bool) -> str:
+    """A positive rational times a basis body; mag alone for an empty body."""
+    if not body:
+        return _frac(mag, latex)
+    if mag == 1:
+        return body
+    text = _frac(mag, latex)
+    if latex:
+        return text + body
+    return f"{text}*{body}" if mag.denominator == 1 else f"({text})*{body}"
 
 
-def _combination_plain(c: CosineCombination) -> str:
-    parts: list[str] = []
+def _signed_join(pieces: Iterable[tuple[bool, str]]) -> str:
+    """(negative, text) pieces joined by ' + ' and ' - ', a leading '-' bare."""
+    out: list[str] = []
+    for negative, text in pieces:
+        if out:
+            out.append(f"- {text}" if negative else f"+ {text}")
+        else:
+            out.append(f"-{text}" if negative else text)
+    return " ".join(out)
+
+
+# kind: (plain, latex) text of the basis constant, {} its argument
+_BODIES = {
+    "unit": ("", ""),
+    "gamma": ("gamma", r"\gamma"),
+    "picot": ("pi*cot(pi*{})", r"\pi\cot(\pi\cdot{})"),
+    "logprime": ("ln({})", r"\ln({})"),
+    "logsin": ("ln(sin(pi*{}))", r"\ln\sin(\pi\cdot{})"),
+    "cos": ("cos(2*pi*{})", r"\cos(2\pi\cdot{})"),
+}
+
+
+def _combination(c: CosineCombination, latex: bool) -> str:
+    pieces = []
     if c.rational != 0 or not c.cosines:
-        parts.append(_frac_plain(c.rational))
+        pieces.append((c.rational < 0, _frac(abs(c.rational), latex)))
     for k, coeff in c.cosines:
-        body = f"cos(2*pi*{Fraction(k, c.denominator)})"
-        mag = abs(coeff)
-        if mag == 1:
-            piece = body
-        elif mag.denominator == 1:
-            piece = f"{_frac_plain(mag)}*{body}"
-        else:
-            piece = f"({_frac_plain(mag)})*{body}"
-        if not parts:
-            parts.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            parts.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
-    return " ".join(parts)
-
-
-def _combination_latex(c: CosineCombination) -> str:
-    parts: list[str] = []
-    if c.rational != 0 or not c.cosines:
-        parts.append(_frac_latex(c.rational))
-    for k, coeff in c.cosines:
-        body = rf"\cos(2\pi\cdot{Fraction(k, c.denominator)})"
-        mag = abs(coeff)
-        piece = body if mag == 1 else rf"{_frac_latex(mag)}{body}"
-        if not parts:
-            parts.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            parts.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
-    return " ".join(parts)
-
-
-def _term_body(term: BasisTerm, latex: bool) -> str:
-    if term.kind == "unit":
-        return ""
-    if term.kind == "gamma":
-        return r"\gamma" if latex else "gamma"
-    if term.kind == "picot":
-        if latex:
-            return rf"\pi\cot(\pi\cdot{term.arg})"
-        return f"pi*cot(pi*{term.arg})"
-    if term.kind == "logprime":
-        return rf"\ln({term.arg})" if latex else f"ln({term.arg})"
-    if term.kind == "logsin":
-        if latex:
-            return rf"\ln\sin(\pi\cdot{term.arg})"
-        return f"ln(sin(pi*{term.arg}))"
-    raise ValueError(f"unknown basis term kind {term.kind!r}")
+        body = _BODIES["cos"][latex].format(Fraction(k, c.denominator))
+        pieces.append((coeff < 0, _times(abs(coeff), body, latex)))
+    return _signed_join(pieces)
 
 
 def render(c: ClosedForm, format: str = "plain") -> str:
@@ -422,30 +414,14 @@ def render(c: ClosedForm, format: str = "plain") -> str:
     latex = format == "latex"
     if c.is_zero:
         return "0"
-    pieces: list[str] = []
+    pieces = []
     for term, coeff in c.coefficients:
-        body = _term_body(term, latex)
+        arg = "/".join(map(str, term.arg)) if type(term.arg) is tuple else term.arg
+        body = _BODIES[term.kind][latex].format(arg)
         if coeff.is_rational:
-            q = coeff.rational
-            mag = abs(q)
-            if not body:
-                text = _frac_latex(mag) if latex else _frac_plain(mag)
-            elif mag == 1:
-                text = body
-            elif latex:
-                text = rf"{_frac_latex(mag)}{body}"
-            elif mag.denominator == 1:
-                text = f"{_frac_plain(mag)}*{body}"
-            else:
-                text = f"({_frac_plain(mag)})*{body}"
-            negative = q < 0
+            pieces.append((coeff.rational < 0, _times(abs(coeff.rational), body, latex)))
         else:
-            inner = _combination_latex(coeff) if latex else _combination_plain(coeff)
+            inner = _combination(coeff, latex)
             wrapped = rf"\left({inner}\right)" if latex else f"({inner})"
-            text = wrapped if not body else (wrapped + (body if latex else f"*{body}"))
-            negative = False
-        if not pieces:
-            pieces.append(f"-{text}" if negative else text)
-        else:
-            pieces.append(f"- {text}" if negative else f"+ {text}")
-    return " ".join(pieces)
+            pieces.append((False, f"{wrapped}{'' if latex or not body else '*'}{body}"))
+    return _signed_join(pieces)

@@ -16,7 +16,8 @@ is folded into one exact rational, so ``3/4`` parses to ``Number(3/4)`` and
 error.
 
 Syntax errors carry the offending position; evaluation rejects sqrt/ln of a
-non-positive value, naming the offending subexpression.
+non-positive value, a zero divisor and cot of an exact zero, naming the
+offending subexpression.
 """
 
 from __future__ import annotations
@@ -277,5 +278,7 @@ def eval_const_expr(e: ConstExpr, ctx: EvalContext) -> BigReal:
         if e.func == "cos":
             return m.cos(arg)
         if e.func == "cot":
+            if arg == 0:
+                raise ExprDomainError(f"cot of zero in {expr_text(e)}")
             return m.cot(arg)
     raise TypeError(f"not a ConstExpr: {e!r}")

@@ -105,11 +105,12 @@ def _theorem_form(
     coefficients = [(GAMMA, CosineCombination(Fraction(-1)))]
     if 2 * p != q:  # cot(pi/2) = 0; cot(pi (1 - x)) = -cot(pi x)
         cot = CosineCombination(Fraction(1 if 2 * p > q else -1, 2))
-        coefficients.append((BasisTerm("picot", Fraction(min(p, q - p), q)), cot))
+        coefficients.append((BasisTerm("picot", (min(p, q - p), q)), cot))
     for prime, acc in sorted(logs.items()):
         coefficients.append((BasisTerm("logprime", prime), _combination(acc, q)))
     for m, (k, w) in sorted(log_sins.items()):
-        coefficients.append((BasisTerm("logsin", Fraction(m, q)), _cosine(k, w, q)))
+        g = math.gcd(m, q)
+        coefficients.append((BasisTerm("logsin", (m // g, q // g)), _cosine(k, w, q)))
     return ClosedForm(tuple((term, c) for term, c in coefficients if not c.is_zero))
 
 

@@ -280,17 +280,16 @@ class _ValueCache:
 _values = _ValueCache()
 
 
-def _basis_value(kind: str, arg: Any, dps: int) -> tuple:
-    """The raw libmp value of ln p or pi*cot(pi*x) at ``dps`` digits."""
-    if kind == "logprime":
-        return _values.get((dps, kind, arg), 1, lambda: _mp_for(dps).log(arg)._mpf_)
-    if kind == "picot":
-        n, d = arg.numerator, arg.denominator
-        m = _mp_for(dps)
-        return _values.get(
-            (dps, kind, n, d), 1, lambda: (m.pi * m.cot(m.pi * (m.mpf(n) / d)))._mpf_
-        )
-    raise ValueError(f"unknown basis term kind {kind!r}")
+def _basis_value(term: BasisTerm, dps: int) -> tuple:
+    """The raw libmp value of ln p or pi*cot(pi*m/q) at ``dps`` digits."""
+    m = _mp_for(dps)
+    if term.kind == "logprime":
+        p = term.arg
+        return _values.get((dps, "logprime", p), 1, lambda: m.log(p)._mpf_)
+    n, d = term.arg
+    return _values.get(
+        (dps, "picot", n, d), 1, lambda: (m.pi * m.cot(m.pi * (m.mpf(n) / d)))._mpf_
+    )
 
 
 def _scaled(x: Fraction, value: int) -> int:
@@ -306,15 +305,15 @@ def _fixed_sum(
     P = W + 32 bits.
 
     The common denominator q is the lcm of each coefficient's denominator
-    and each ln sin argument's, one lcm per pair.  Every cosine
-    cos(2*pi*k/d) and every ln sin comes from the one table of q, a cosine
-    at slot k*(q/d); each product is an exact integer scaled by 2^(2P), and
-    the sum is rounded once to the working precision W.
+    and each ln sin angle's, one lcm per pair.  Every cosine cos(2*pi*k/d)
+    and every ln sin(pi*m/d) comes from the one table of q, at slot k*(q/d)
+    and min(j, q - j) for j = m*(q/d), which lies in (0, q) because a
+    stored angle has 0 < m < d; each product is an exact integer scaled by
+    2^(2P), and the sum is rounded once to the working precision W.
     """
     q = 1
     for term, coeff in pairs:
-        arg = term.arg.denominator if term.kind == "logsin" else 1
-        q = math.lcm(q, arg, coeff.denominator)
+        q = math.lcm(q, term.arg[1] if term.kind == "logsin" else 1, coeff.denominator)
     work = libmp.dps_to_prec(ctx.workdps)
     prec = work + _EXTRA_BITS
     one = 1 << prec
@@ -329,14 +328,13 @@ def _fixed_sum(
         if kind == "unit":
             basis = one
         elif kind == "logsin":
-            j = term.arg.numerator * (q // term.arg.denominator)
-            if not 0 < j < q:
-                raise ValueError(f"ln sin(pi*{term.arg}) needs an angle in (0, 1)")
+            m, d = term.arg
+            j = m * (q // d)
             basis = table.log_sin(min(j, q - j))
         elif kind == "gamma":
             basis = libmp.to_fixed(const_gamma(ctx)._mpf_, prec)
         else:
-            basis = libmp.to_fixed(_basis_value(kind, term.arg, ctx.workdps), prec)
+            basis = libmp.to_fixed(_basis_value(term, ctx.workdps), prec)
         total += c * basis
     return ctx.mp.make_mpf(libmp.from_man_exp(total, -2 * prec, work, libmp.round_nearest))
 

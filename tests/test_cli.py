@@ -125,6 +125,14 @@ class TestTableCheck:
         assert code == 1
         assert out.count("FAIL") >= 1
 
+    def test_cot_of_zero_is_a_failed_row(self, capsys, tmp_path):
+        path = tmp_path / "cot.txt"
+        path.write_text("a | 1/2 | cot(0) | x\n")
+        code, out, err = invoke(capsys, "table-check", "--corpus", str(path), "--digits", "30")
+        assert code == 1
+        assert "FAIL" in out and "cot of zero" in out
+        assert "Traceback" not in err
+
     def test_missing_corpus_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "table-check", "--corpus", str(tmp_path / "nope.txt"))
         assert code == 2

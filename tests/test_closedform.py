@@ -195,6 +195,60 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             log_sin(Fraction(0))
 
+    @pytest.mark.parametrize(
+        "kind,arg",
+        [
+            ("logprime", 9),
+            ("logsin", (2, 4)),
+            ("logsin", (0, 3)),
+            ("logsin", (3, 3)),
+            ("logsin", (Fraction(1, 3), 1)),
+            ("logsin", Fraction(1, 3)),
+            ("picot", (4, 3)),
+            ("picot", (-1, 3)),
+            ("picot", (True, 3)),
+            ("picot", [1, 3]),
+            ("picot", (1, 3, 5)),
+            ("unit", 1),
+            ("sqrt", None),
+        ],
+    )
+    def test_basis_term_checks_its_argument(self, kind, arg):
+        with pytest.raises(ValueError):
+            BasisTerm(kind, arg)
+
+    def test_stored_arguments_are_ints(self):
+        assert log_sin(Fraction(-10, 3)).arg == (2, 3)
+        assert pi_cot(Fraction(7, 2)).arg == (1, 2)
+        assert log_prime(7).arg == 7
+
+    @pytest.mark.parametrize("angle", [0.1, 0.25, "1/4", True, None])
+    def test_angles_must_be_exact_rationals(self, angle):
+        with pytest.raises(ValueError):
+            log_sin(angle)
+        with pytest.raises(ValueError):
+            pi_cot(angle)
+        with pytest.raises(ValueError):
+            CosineCombination.from_cos(angle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=60).flatmap(
+            lambda q: st.tuples(st.integers(min_value=1, max_value=q - 1), st.just(q))
+        ),
+        st.integers(min_value=-1000, max_value=1000),
+        st.fractions(min_value=-10, max_value=10, max_denominator=10),
+        st.fractions(min_value=0, max_value=1, max_denominator=24),
+    )
+    def test_angles_fold_by_periodicity_and_reflection(self, mq, n, rational, cos_angle):
+        x = Fraction(*mq)  # reduced, 0 < x < 1
+        c = cc(rational) + CosineCombination.from_cos(cos_angle, 3)
+        assert ClosedForm.build({log_sin(x + n): c}) == ClosedForm.build({log_sin(1 - x): c})
+        assert ClosedForm.build({pi_cot(x + n): c}) == ClosedForm.build({pi_cot(1 - x): -c})
+        for kind in (log_sin, pi_cot):
+            for term, _ in ClosedForm.build({kind(x + n): c}).coefficients:
+                assert 0 < 2 * term.arg[0] < term.arg[1]
+
     def test_factor_log_integer(self):
         twelve = factor_log_integer(12)
         assert twelve == {log_prime(2): 2, log_prime(3): 1}

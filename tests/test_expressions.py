@@ -132,6 +132,11 @@ class TestEvaluation:
         with pytest.raises(ExprDomainError, match="division by zero"):
             eval_const_expr(parse_const_expr("1/(2-2)"), ctx)
 
+    @pytest.mark.parametrize("text", ["cot(0)", "pi*cot(2-2)", "cot(pi*0)"])
+    def test_cot_of_zero_fails_domain(self, ctx, text):
+        with pytest.raises(ExprDomainError, match=r"cot of zero in cot\("):
+            eval_const_expr(parse_const_expr(text), ctx)
+
     def test_trigonometric_extension(self, ctx):
         m = ctx.mp
         cot = eval_const_expr(parse_const_expr("pi*cot(pi*1/4)"), ctx)

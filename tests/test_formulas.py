@@ -219,7 +219,7 @@ class TestMurtySaradha:
                     continue
                 form = murty_saradha(p, q)
                 stored = [t.arg for t, _ in form.coefficients if t.kind == "logsin"]
-                assert half not in stored
+                assert (1, 2) not in stored
 
 
 class TestGauss:
@@ -290,8 +290,9 @@ class TestProducedFormInvariants:
             for fn in (gauss_1813, nielsen, murty_saradha, gr_variant):
                 for term, coeff in fn(p, q).coefficients:
                     if term.kind in ("picot", "logsin"):
-                        assert 0 < term.arg < half or term.arg == half
-                        assert term.arg != half  # exact zeros are deleted
+                        m, d = term.arg
+                        assert type(m) is int and type(d) is int and math.gcd(m, d) == 1
+                        assert 0 < 2 * m < d  # the exact zeros at 1/2 are deleted
                     for k, value in coeff.cosines:
                         angle = Fraction(k, coeff.denominator)
                         assert 0 < angle < half and angle != Fraction(1, 4)

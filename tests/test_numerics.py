@@ -201,7 +201,7 @@ def reference_basis(kind: str, arg, dps: int):
     key = (dps, kind, arg)
     if key not in _reference_values:
         m = _reference_context(dps)
-        x = m.mpf(arg.numerator) / arg.denominator if kind != "logprime" else m.mpf(arg)
+        x = m.mpf(arg[0]) / arg[1] if kind != "logprime" else m.mpf(arg)
         if kind == "cos2pi":
             value = m.cos(2 * m.pi * x)
         elif kind == "logsin":
@@ -221,7 +221,7 @@ def reference_eval(form: ClosedForm, ctx: EvalContext):
         c = m.mpf(coeff.rational.numerator) / coeff.rational.denominator
         for k, weight in coeff.cosines:
             c += m.mpf(weight.numerator) / weight.denominator * reference_basis(
-                "cos2pi", Fraction(k, coeff.denominator), ctx.workdps
+                "cos2pi", (k, coeff.denominator), ctx.workdps
             )
         if term.kind == "unit":
             basis = m.mpf(1)
