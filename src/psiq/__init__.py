@@ -39,12 +39,10 @@ from .numerics import (
     oracle_psi_series,
 )
 from .rationals import (
-    ArgumentClass,
     PoleError,
     ShiftDecomposition,
-    classify,
+    is_pole,
     parse_rational,
-    reduce,
     shift_decompose,
 )
 from .verification import (
@@ -62,7 +60,6 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgumentClass",
     "BasisTerm",
     "ClosedForm",
     "ComparisonReport",
@@ -76,7 +73,6 @@ __all__ = [
     "bernoulli_even",
     "bundled_corpus_path",
     "bundled_errata_path",
-    "classify",
     "compare_formulas",
     "comparison_tolerance",
     "const_gamma",
@@ -87,6 +83,7 @@ __all__ = [
     "format_decimal",
     "gauss_1813",
     "gr_variant",
+    "is_pole",
     "load_corpus",
     "log_prime",
     "log_sin",
@@ -97,7 +94,6 @@ __all__ = [
     "parse_rational",
     "pi_cot",
     "psi_closed",
-    "reduce",
     "reflect",
     "render",
     "shift_decompose",

@@ -8,6 +8,12 @@ Subcommands::
     psiq compare [--qmax N] [--digits D] [--format text|json]
     psiq errata [--qmax N] [--digits D] [--format text|json]
 
+argparse reads every option and the positional p/q; the p/q text is then
+parsed by :func:`psiq.rationals.parse_rational`.  A negative p/q may stand
+before or after the options (``psiq eval -7/3 --digits 30``): a token that
+argparse would take for an option, such as -7/3, is moved behind ``--``
+first.
+
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including malformed rationals), 3 pole or domain error.  Results go
 to stdout, diagnostics to stderr.
@@ -17,13 +23,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .closedform import ClosedForm, render
 from .formulas import psi_closed
-from .numerics import EvalContext, eval_closed_form, format_decimal
+from .numerics import MIN_DIGITS, EvalContext, eval_closed_form, format_decimal
 from .rationals import PoleError, parse_rational
 from .verification import (
     ComparisonReport,
@@ -40,61 +47,25 @@ __all__ = ["main", "run"]
 DEFAULT_DIGITS = 50
 DEFAULT_QMAX = 40
 
-# flags that consume the following argv token
-_VALUE_FLAGS = {"--digits", "--format", "--corpus", "--qmax"}
+# argparse reads a negative integer ("-1", "--digits -5") as a value by itself
+# but takes any other token that begins with "-", "-7/3" among them, for an
+# option; behind "--" it reads every token as a positional
+_NEGATIVE_NON_INTEGER = re.compile(r"-\d+\D")
 
 
-def _digits_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid digit count {text!r}") from exc
-    if value < 15:
-        raise argparse.ArgumentTypeError("digits must be at least 15")
-    return value
+def _bounded_int(minimum: int, name: str, noun: str) -> Callable[[str], int]:
+    """An argparse type for an int of at least ``minimum``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid {noun} {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {minimum}")
+        return value
 
-def _qmax_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid qmax {text!r}") from exc
-    if value < 2:
-        raise argparse.ArgumentTypeError("qmax must be at least 2")
-    return value
-
-
-def _extract_rational_token(args: Sequence[str]) -> tuple[Optional[str], list[str]]:
-    """Pull the positional rational out of an argv tail.
-
-    argparse treats "-7/3" as an option, so the rational token (first
-    non-flag token, skipping values of flags that take one) is extracted
-    before argparse parses the remaining flags.
-    """
-    rational: Optional[str] = None
-    rest: list[str] = []
-    i = 0
-    while i < len(args):
-        token = args[i]
-        if token in _VALUE_FLAGS:
-            rest.append(token)
-            if i + 1 < len(args):
-                rest.append(args[i + 1])
-                i += 2
-                continue
-            i += 1
-            continue
-        if token.startswith("--"):
-            rest.append(token)  # --flag=value or unknown flag (argparse reports it)
-            i += 1
-            continue
-        if rational is None:
-            rational = token
-            i += 1
-            continue
-        rest.append(token)
-        i += 1
-    return rational, rest
+    return parse
 
 
 def _print_report(report: ComparisonReport, fmt: str) -> None:
@@ -169,31 +140,35 @@ def build_parser() -> argparse.ArgumentParser:
         " digamma function at rational arguments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    digits = _bounded_int(MIN_DIGITS, "digits", "digit count")
+    qmax = _bounded_int(2, "qmax", "qmax")
 
     p_exact = sub.add_parser("exact", help="print the exact closed form of psi(p/q)")
+    p_exact.add_argument("rational", help="the argument p/q, e.g. 1/2 or -7/3")
     p_exact.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
     p_eval = sub.add_parser("eval", help="evaluate psi(p/q) to D significant digits")
-    p_eval.add_argument("--digits", type=_digits_arg, default=DEFAULT_DIGITS)
+    p_eval.add_argument("rational", help="the argument p/q, e.g. 1/2 or -7/3")
+    p_eval.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table-check", help="verify the corpus of published values")
     p_table.add_argument("--corpus", default=None, help="corpus file (default: bundled)")
-    p_table.add_argument("--digits", type=_digits_arg, default=DEFAULT_DIGITS)
+    p_table.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
     p_table.add_argument("--format", choices=("text", "json"), default="text")
 
     p_compare = sub.add_parser(
         "compare", help="cross-check the Gauss, Nielsen and Murty-Saradha forms"
     )
-    p_compare.add_argument("--qmax", type=_qmax_arg, default=DEFAULT_QMAX)
-    p_compare.add_argument("--digits", type=_digits_arg, default=DEFAULT_DIGITS)
+    p_compare.add_argument("--qmax", type=qmax, default=DEFAULT_QMAX)
+    p_compare.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
     p_compare.add_argument("--format", choices=("text", "json"), default="text")
 
     p_errata = sub.add_parser(
         "errata", help="measure published-formula discrepancies (GR 8.363(6), Jensen)"
     )
-    p_errata.add_argument("--qmax", type=_qmax_arg, default=DEFAULT_QMAX)
-    p_errata.add_argument("--digits", type=_digits_arg, default=DEFAULT_DIGITS)
+    p_errata.add_argument("--qmax", type=qmax, default=DEFAULT_QMAX)
+    p_errata.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
     p_errata.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -218,24 +193,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-
-    rational_text: Optional[str] = None
-    if argv and argv[0] in ("exact", "eval"):
-        rational_text, rest = _extract_rational_token(argv[1:])
-        argv = [argv[0], *rest]
-
+    negative = [token for token in argv if _NEGATIVE_NON_INTEGER.match(token)]
+    if negative and "--" not in argv:
+        argv = [token for token in argv if token not in negative] + ["--", *negative]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     if args.command in ("exact", "eval"):
-        if rational_text is None:
-            print("error: missing rational argument", file=sys.stderr)
-            return 2
         try:
-            r = parse_rational(rational_text)
+            r = parse_rational(args.rational)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

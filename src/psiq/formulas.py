@@ -23,7 +23,7 @@ from .closedform import (
     factor_log_integer,
     pi_cot,
 )
-from .rationals import PoleError, classify, shift_decompose, ArgumentClass
+from .rationals import PoleError, shift_decompose
 
 __all__ = [
     "gauss_1813",
@@ -172,11 +172,10 @@ def psi_closed(r: Fraction) -> ClosedForm:
 def reflect(c: ClosedForm, r: Fraction) -> ClosedForm:
     """Given c = psi(r), return the form of psi(1-r) = psi(r) + pi cot(pi r).
 
-    Requires both r and 1-r to be non-poles, which forces r to be a
-    non-integer; the cotangent angle is reduced mod 1 and folded canonically.
+    Requires both r and 1-r to be non-poles, which holds exactly when r is
+    not an integer; the cotangent angle is reduced mod 1 and folded
+    canonically.
     """
-    if classify(r) is ArgumentClass.POLE:
-        raise PoleError("digamma pole at non-positive integer")
-    if classify(1 - r) is ArgumentClass.POLE:
-        raise PoleError("digamma pole at non-positive integer (reflected argument)")
+    if r.denominator == 1:
+        raise PoleError("digamma pole at non-positive integer (r or 1 - r)")
     return ClosedForm.build((*c.coefficients, (pi_cot(r % 1), 1)))

@@ -1,7 +1,7 @@
 """Arbitrary-precision evaluation and independent numeric digamma oracles.
 
-Values are mpmath floats carried at ``digits + guard`` working decimal digits
-(guard defaults to 15), W bits; results reported at D digits are accurate to
+Values are mpmath floats carried at ``digits + GUARD_DIGITS`` (15) working
+decimal digits, W bits; results reported at D digits are accurate to
 well within 10 units in the last digit for exact inputs.  Comparisons
 throughout the package use the tolerance 10^-(D-10).
 
@@ -45,11 +45,12 @@ import mpmath
 from mpmath import libmp
 
 from .closedform import UNIT, BasisTerm, ClosedForm, CosineCombination
-from .rationals import ArgumentClass, PoleError, classify, shift_decompose, upward_sum
+from .rationals import PoleError, is_pole, shift_decompose, upward_sum
 
 __all__ = [
     "EvalContext",
     "GUARD_DIGITS",
+    "MIN_DIGITS",
     "bernoulli_even",
     "comparison_tolerance",
     "const_gamma",
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 GUARD_DIGITS = 15
+MIN_DIGITS = 15  # fewest reported digits an evaluation accepts
 
 BigReal = Any  # mpmath.mpf bound to a per-precision context
 
@@ -90,20 +92,17 @@ def _mp_for(dps: int):
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Evaluation precision: D reported digits plus fixed guard digits."""
+    """Evaluation precision: D reported digits plus ``GUARD_DIGITS``."""
 
     digits: int = 50
-    guard: int = GUARD_DIGITS
 
     def __post_init__(self) -> None:
-        if self.digits < 15:
-            raise ValueError("EvalContext requires digits >= 15")
-        if self.guard < 0:
-            raise ValueError("guard digits must be non-negative")
+        if self.digits < MIN_DIGITS:
+            raise ValueError(f"EvalContext requires digits >= {MIN_DIGITS}")
 
     @property
     def workdps(self) -> int:
-        return self.digits + self.guard
+        return self.digits + GUARD_DIGITS
 
     @property
     def mp(self):
@@ -377,7 +376,7 @@ def oracle_psi_series(
     The inner sum is evaluated in exact scaled-integer arithmetic
     (floor error < N/10^(workdigits+10), far below the tail bound).
     """
-    if classify(r) is ArgumentClass.POLE:
+    if is_pole(r):
         raise PoleError("digamma pole at non-positive integer")
     if terms < 10 * math.ceil(abs(r)):
         raise ValueError("series oracle requires at least 10*ceil(|r|) terms")
@@ -408,7 +407,7 @@ def oracle_psi_asymptotic(r: Fraction, ctx: EvalContext) -> BigReal:
     term drops below 10^-(D+10).  The series is divergent, so term growth
     stops the summation as well (never reached for x >= max(20, D)).
     """
-    if classify(r) is ArgumentClass.POLE:
+    if is_pole(r):
         raise PoleError("digamma pole at non-positive integer")
     m = ctx.mp
     x_min = max(20, ctx.digits)

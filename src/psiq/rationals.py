@@ -1,4 +1,4 @@
-"""Exact rational arguments: reduction, classification, shift decomposition.
+"""Exact rational arguments: parsing, the pole test, shift decomposition.
 
 Rationals are plain :class:`fractions.Fraction` values, which are always in
 lowest terms with a positive denominator.  Everything here is pure and exact;
@@ -7,19 +7,16 @@ no rounding ever happens in this module.
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "ArgumentClass",
     "PoleError",
     "ShiftDecomposition",
-    "classify",
+    "is_pole",
     "parse_rational",
-    "reduce",
     "shift_decompose",
     "upward_sum",
 ]
@@ -29,53 +26,27 @@ class PoleError(ValueError):
     """Raised when the digamma function is requested at a non-positive integer."""
 
 
-class ArgumentClass(enum.Enum):
-    """Mutually exclusive, exhaustive classes of rational arguments."""
-
-    POLE = "pole"
-    ONE = "one"
-    POSITIVE_INTEGER = "positive_integer"
-    UNIT_INTERVAL = "unit_interval"
-    GREATER_THAN_ONE = "greater_than_one"
-    NEGATIVE_NON_INTEGER = "negative_non_integer"
-
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
-def reduce(numerator: int, denominator: int) -> Fraction:
-    """Return numerator/denominator in lowest terms, sign on the numerator.
-
-    Raises ValueError ("undefined rational") for a zero denominator.
-    """
-    if denominator == 0:
-        raise ValueError("undefined rational: denominator is zero")
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text: str) -> Fraction:
-    """Parse the text form of a rational: optional '-', integer, optional '/integer'."""
+    """Parse the text form of a rational: optional '-', integer, optional '/integer'.
+
+    The result is in lowest terms.  Raises ValueError ("malformed rational")
+    for any other text and ("undefined rational") for a zero denominator.
+    """
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed rational: {text!r}")
-    num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
-    return reduce(num, den)
+    if den == 0:
+        raise ValueError("undefined rational: denominator is zero")
+    return Fraction(int(m.group(1)), den)
 
 
-def classify(r: Fraction) -> ArgumentClass:
-    """Classify a rational argument of the digamma function."""
-    if r.denominator == 1:
-        if r <= 0:
-            return ArgumentClass.POLE
-        if r == 1:
-            return ArgumentClass.ONE
-        return ArgumentClass.POSITIVE_INTEGER
-    if r < 0:
-        return ArgumentClass.NEGATIVE_NON_INTEGER
-    if r < 1:
-        return ArgumentClass.UNIT_INTERVAL
-    return ArgumentClass.GREATER_THAN_ONE
+def is_pole(r: Fraction) -> bool:
+    """Whether r is a pole of the digamma function: 0, -1, -2, ..."""
+    return r.denominator == 1 and r <= 0
 
 
 @dataclass(frozen=True)
@@ -155,7 +126,7 @@ def shift_decompose(r: Fraction) -> ShiftDecomposition:
     not on the O(n log(nc))-bit product of every term: at 10**4 steps from
     1/3, 32,475 bits against the reduced 32,445 and the product's 134,298.
     """
-    if classify(r) is ArgumentClass.POLE:
+    if is_pole(r):
         raise PoleError("digamma pole at non-positive integer")
     if 0 < r <= 1:
         return ShiftDecomposition(base=r, correction=Fraction(0), step_count=0)

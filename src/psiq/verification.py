@@ -34,7 +34,7 @@ from .numerics import (
     comparison_tolerance,
     eval_closed_form,
 )
-from .rationals import ArgumentClass, classify, parse_rational
+from .rationals import is_pole, parse_rational
 
 __all__ = [
     "CaseResult",
@@ -196,7 +196,7 @@ def load_corpus(path: Union[str, Path]) -> list[TableEntry]:
             argument = parse_rational(argument_text)
         except ValueError as exc:
             raise ValueError(f"{path.name}:{lineno}: {exc}") from exc
-        if classify(argument) is ArgumentClass.POLE:
+        if is_pole(argument):
             raise ValueError(f"{path.name}:{lineno}: argument {argument} is a pole")
         try:
             expr = parse_const_expr(expr_text)

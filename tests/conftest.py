@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from psiq import ArgumentClass, EvalContext, classify
+from psiq import EvalContext, is_pole
 
 
 @pytest.fixture(scope="session")
@@ -84,7 +84,7 @@ def random_rationals(
         den = rng.randint(1, max_denominator)
         num = rng.randint(-max_abs * den, max_abs * den)
         r = Fraction(num, den)
-        if r in seen or classify(r) is ArgumentClass.POLE:
+        if r in seen or is_pole(r):
             continue
         seen.add(r)
         out.append(r)

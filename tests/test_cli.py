@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from psiq.cli import run
 from psiq.expressions import eval_const_expr, parse_const_expr
 from psiq.numerics import EvalContext
@@ -188,3 +190,39 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("command", ["exact", "eval"])
+    def test_subcommand_help_exits_zero(self, capsys, command):
+        code, out, err = invoke(capsys, command, "-h")
+        assert code == 0
+        assert f"usage: psiq {command}" in out
+        assert err == ""
+
+
+class TestArgumentOrder:
+    """A negative rational reads the same before and after the options."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("exact", "--format", "json"), ("eval", "--digits", "30"), ("eval", "--format", "json")],
+    )
+    def test_flags_before_negative_rational(self, capsys, flags):
+        command, *options = flags
+        after = invoke(capsys, command, "-7/3", *options)
+        before = invoke(capsys, command, *options, "-7/3")
+        assert after[0] == 0
+        assert before == after
+
+    def test_rational_after_double_dash(self, capsys):
+        assert invoke(capsys, "exact", "--", "-7/3") == invoke(capsys, "exact", "-7/3")
+
+    def test_negative_option_value_is_checked_as_a_value(self, capsys):
+        code, _, err = invoke(capsys, "eval", "1/2", "--digits", "-5")
+        assert code == 2
+        assert "digits must be at least 15" in err
+
+    def test_extra_positional_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "exact", "1/2", "-1/3")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err

@@ -44,3 +44,28 @@ def test_module_exports_exist():
         if not hasattr(m, name)
     ]
     assert missing == []
+
+
+def test_cli_calls_through_bench_bindings(capsys):
+    """The CLI still routes exact and eval through every binding the
+    benchmark rebinds for their layers, so traced runs see each layer."""
+    from psiq.cli import run
+
+    recorder = load_spans().Recorder()
+    recorder.install()
+    try:
+        assert run(["exact", "-7/3"]) == 0
+        assert run(["eval", "1/2", "--digits", "30"]) == 0
+    finally:
+        recorder.restore()
+    assert capsys.readouterr().out.splitlines()[1] == "-1.96351002602142347944097633300"
+    layers = {span[2] for span in recorder.take()}
+    assert layers >= {
+        "rationals.parse",
+        "rationals.shift",
+        "formulas.psi_closed",
+        "formulas.murty_saradha",
+        "closedform.render",
+        "numerics.eval",
+        "numerics.format",
+    }
