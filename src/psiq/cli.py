@@ -12,7 +12,8 @@ argparse reads every option and the positional p/q; the p/q text is then
 parsed by :func:`psiq.rationals.parse_rational`.  A negative p/q may stand
 before or after the options (``psiq eval -7/3 --digits 30``): a token that
 argparse would take for an option, such as -7/3, is moved behind ``--``
-first.
+first, unless it follows an option that takes a value
+(``--corpus -1/x.json``), which then reads it as ``--corpus=-1/x.json``.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including malformed rationals), 3 pole or domain error.  Results go
@@ -191,13 +192,43 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(previous)
 
 
+def _value_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings of ``parser`` and its subcommands that take a value."""
+    options: set[str] = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _value_options(sub)
+        elif action.option_strings and action.nargs != 0:
+            options.update(action.option_strings)
+    return options
+
+
+def _shield_negative_tokens(argv: list[str], value_options: set[str]) -> list[str]:
+    """argv with each token that starts like a negative non-integer either
+    joined to the value option before it as ``--option=token`` or moved
+    behind ``--``; a line that has ``--`` already is left as it is."""
+    if "--" in argv:
+        return argv
+    line: list[str] = []
+    moved: list[str] = []
+    for token in argv:
+        if not _NEGATIVE_NON_INTEGER.match(token):
+            line.append(token)
+        elif line and line[-1] in value_options:
+            line[-1] = f"{line[-1]}={token}"
+        else:
+            moved.append(token)
+    return [*line, "--", *moved] if moved else line
+
+
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    negative = [token for token in argv if _NEGATIVE_NON_INTEGER.match(token)]
-    if negative and "--" not in argv:
-        argv = [token for token in argv if token not in negative] + ["--", *negative]
+    parser = build_parser()
+    argv = _shield_negative_tokens(
+        list(sys.argv[1:] if argv is None else argv), _value_options(parser)
+    )
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

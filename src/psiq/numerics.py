@@ -9,9 +9,13 @@ A closed form is evaluated in integer fixed point at P = W + 32 bits.  Its
 ln sin(pi*j/q) and cos(2*pi*k/q) values come from one table per common
 denominator q (:class:`_SineTable`): sin(pi*j/q) to within 0.51*2^-P,
 cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q) to within 3*2^-P and ln sin(pi*j/q) to
-within (1 + q/(3j))*2^-P.  pi, gamma, ln p and pi*cot(pi*x) enter rounded to
-W bits.  The coefficient x basis products and their sum are exact integers,
-rounded once to W bits.
+within (1 + q/(3j))*2^-P.  That last bound has three parts, in units of
+2^-P: q/(3j) from the error of the stored sine; below 2^-8 for the rounding
+that a chain of at most 63 atanh steps at P + 16 bits accumulates, which
+gives the logs from j = 32 on; and the final rounding to P bits, 1/2 for a
+chained log and 1 for the logs j < 32, which libmp's log gives directly.
+pi, gamma, ln p and pi*cot(pi*x) enter rounded to W bits.  The coefficient
+x basis products and their sum are exact integers, rounded once to W bits.
 
 The tables and those four constants live in one cache (:class:`_ValueCache`),
 a bounded, thread-safe LRU whose budget counts slots: q//2 + 1 per table, one
@@ -39,7 +43,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import mpmath
 from mpmath import libmp
@@ -70,6 +74,7 @@ BigReal = Any  # mpmath.mpf bound to a per-precision context
 _mp_contexts = threading.local()  # .by_dps: this thread's {dps: context}
 _EXTRA_BITS = 32  # fixed-point bits beyond the working precision
 _BLOCK = 64  # sines filled from one cos/sin evaluation by rotation
+_DIRECT = 32  # ln sines below this slot come from libmp's log one by one
 _SLOT_BUDGET = 1 << 16  # slots the value cache keeps, over all its entries
 _bernoulli: list[Fraction] = []  # [B_2, B_4, ...]
 _bernoulli_lock = threading.Lock()
@@ -179,24 +184,39 @@ class _SineTable:
     fixed point at prec + 16 bits.  Each rotation adds at most 3 units of
     2^-(prec+16) to the error, so a block ends within 3*64 of those units,
     whatever q is; rounded to prec bits each sine is within 0.51*2^-prec.
-    ln sin(pi*j/q) is taken from the stored sine on first use, within
-    (1 + q/(3j))*2^-prec, since sin(pi*x) >= 2x on [0, 1/2].  No mpmath
-    context is involved, so threads can share a table: a value two threads
-    fill at once is the same integer.
+
+    ln sin(pi*j/q) is the log of the stored sine, within q/(3j) units of
+    2^-prec of the true one, since sin(pi*x) >= 2x on [0, 1/2].  For j < 32
+    libmp's log gives it on first use, slot by slot, rounded down to prec
+    bits (within 1 unit).  From j = 32 on, the logs of a block are filled
+    together the first time one of them is read, at w = prec + 16 bits:
+    libmp's log gives the first, within 1.01 units of 2^-w, and each next
+    one follows from the one before as ln s_j = ln s_{j-1} + 2*atanh(u),
+    u = (s_j - s_{j-1})/(s_j + s_{j-1}), from the stored sines shifted left
+    by 16 bits (:meth:`_chain`).  Each of the at most 63 steps adds less
+    than 3.2 units of 2^-w, so the chain stays within 2^-8 units of
+    2^-prec, and rounded to prec bits a chained log is within
+    (1/2 + 2^-8 + q/(3j))*2^-prec.  Every slot is thus within
+    (1 + q/(3j))*2^-prec.
+
+    No mpmath context is involved, so threads can share a table: a value
+    two threads fill at once is the same integer.
     """
 
     def __init__(self, q: int, prec: int) -> None:
         self.q, self.prec = q, prec
         self.slots = q // 2 + 1
         self._step = _cos_sin_pi(1, q, prec + 16)
-        # block index -> (sines, ln sines); memory grows with the blocks used
-        self._blocks: dict[int, tuple[list[int], list[Optional[int]]]] = {}
+        # memory grows with the blocks used
+        self._sines: dict[int, list[int]] = {}  # block index -> sines
+        self._logs: dict[int, list[int]] = {}  # block index -> its chained ln sines
+        self._direct: dict[int, int] = {}  # j < _DIRECT -> ln sine
 
-    def _block(self, b: int) -> tuple[list[int], list[Optional[int]]]:
-        block = self._blocks.get(b)
-        if block is None:
-            block = self._blocks.setdefault(b, (self._fill(b), [None] * _BLOCK))
-        return block
+    def _sine_block(self, b: int) -> list[int]:
+        sines = self._sines.get(b)
+        if sines is None:
+            sines = self._sines.setdefault(b, self._fill(b))
+        return sines
 
     def _fill(self, b: int) -> list[int]:
         wide = self.prec + 16
@@ -211,22 +231,67 @@ class _SineTable:
 
     def sin(self, j: int) -> int:
         b, i = divmod(j, _BLOCK)
-        return self._block(b)[0][i]
+        return self._sine_block(b)[i]
 
     def cos2(self, k: int) -> int:
         """cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q), 0 <= k <= q/2, within 3*2^-prec."""
         s = self.sin(k)
         return (1 << self.prec) - ((s * s + (1 << (self.prec - 2))) >> (self.prec - 1))
 
+    def _log(self, s: int, prec: int) -> int:
+        """ln(s*2^-self.prec) scaled by 2^prec and rounded down, within
+        1 + 2^-8 units: |ln s| < q, so libmp's relative error at
+        prec + 8 + bitlen(q) bits is below 2^-(prec+8)."""
+        x = libmp.from_man_exp(s, -self.prec)
+        return libmp.to_fixed(libmp.mpf_log(x, prec + 8 + self.q.bit_length()), prec)
+
     def log_sin(self, j: int) -> int:
-        b, i = divmod(j, _BLOCK)
-        sines, logs = self._block(b)
-        value = logs[i]
-        if value is None:
-            x = libmp.from_man_exp(sines[i], -self.prec)
-            log = libmp.mpf_log(x, self.prec + 8 + self.q.bit_length())
-            value = logs[i] = libmp.to_fixed(log, self.prec)
-        return value
+        if j < _DIRECT:
+            value = self._direct.get(j)
+            if value is None:
+                value = self._direct.setdefault(j, self._log(self.sin(j), self.prec))
+            return value
+        b = j // _BLOCK
+        logs = self._logs.get(b)
+        if logs is None:
+            logs = self._logs.setdefault(b, self._chain(b))
+        return logs[j - max(b * _BLOCK, _DIRECT)]
+
+    def _chain(self, b: int) -> list[int]:
+        """ln of the stored sines of block b from j = max(64b, 32) on.
+
+        A step adds 2*atanh(u) = 2*u*h(u^2), h(t) = sum_{k<n} t^k/(2k + 1),
+        in integers: x = u*2^w rounded down (u is a ratio of stored sines,
+        so scaling both by 2^16 changes nothing) and h by Horner's rule.
+        With x < 2^(w-e) at every step of the block, n = ceil(w/(2e)) terms
+        leave out less than 2^-w of h.  Term k's level of the rule carries
+        p_k = w - 2(e-1)k bits, as the later powers of u^2 < 2^-2e scale it
+        down, so each level shifts by w - 2(e-1) bits and its error, two
+        roundings, reaches the next one damped by 2^(2(e-1))*u^2 < 1/4: h is
+        within 3.12 units of 2^-w.  With x's rounding (2 units of 2*atanh)
+        and the final product's (1 unit) a step is within 3.2 units.  Since
+        u = tan(pi/(2q))/tan(pi*(2j-1)/(2q)) <= 1/(2j - 1), e >= 6.
+        """
+        wide = self.prec + 16
+        j0 = max(b * _BLOCK, _DIRECT)
+        sines = self._sine_block(b)[j0 - b * _BLOCK :]
+        value = self._log(sines[0], wide)
+        logs = [(value + (1 << 15)) >> 16]
+        xs = [((s - r) << wide) // (s + r) for r, s in zip(sines, sines[1:])]
+        if not xs:
+            return logs
+        e = wide - max(xs).bit_length()
+        n = -(-wide // (2 * e))
+        drop = 2 * (e - 1)
+        top, *rest = [(1 << (wide - drop * k)) // (2 * k + 1) for k in range(n - 1, -1, -1)]
+        for x in xs:
+            x2 = (x * x) >> wide
+            h = top
+            for c in rest:
+                h = c + ((h * x2) >> (wide - drop))
+            value += (x * h) >> (wide - 1)
+            logs.append((value + (1 << 15)) >> 16)
+        return logs
 
 
 class _ValueCache:

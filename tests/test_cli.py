@@ -226,3 +226,21 @@ class TestArgumentOrder:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err
+
+    def test_option_value_that_starts_like_a_negative_rational(self, capsys, tmp_path, monkeypatch):
+        # the path is the value of --corpus, not a rational to move behind "--"
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, "table-check", "--corpus", "-1/x.json")
+        assert code == 2
+        assert out == ""
+        assert "No such file or directory" in err and "'-1/x.json'" in err
+        (tmp_path / "-1").mkdir()
+        (tmp_path / "-1" / "x.json").write_text("a | 1/2 | -gamma - 2*ln(2) | x\n")
+        code, out, _ = invoke(capsys, "table-check", "--corpus", "-1/x.json", "--digits", "30")
+        assert code == 0
+        assert "all pass" in out
+
+    def test_negative_rational_as_an_option_value_is_that_value(self, capsys):
+        code, _, err = invoke(capsys, "eval", "1/2", "--digits", "-7/3")
+        assert code == 2
+        assert "invalid digit count '-7/3'" in err

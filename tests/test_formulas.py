@@ -155,6 +155,15 @@ class TestBuilderMatchesReference:
                 rebuilt = ClosedForm.build(form.coefficients)
                 assert rebuilt == form and repr(rebuilt) == repr(form), (fn.__name__, p, q)
 
+    def test_dispatcher_freeze_is_canonical(self):
+        # psi_closed puts the unit term before a frozen base form without
+        # ClosedForm.build, for shifts down and up and for the base 1
+        arguments = [Fraction(p, q) + n for p, q in coprime_pairs(60) for n in (-2, 3)]
+        for r in [*arguments, Fraction(1), Fraction(4)]:
+            form = psi_closed(r)
+            rebuilt = ClosedForm.build(form.coefficients)
+            assert rebuilt == form and repr(rebuilt) == repr(form), r
+
     # sha256 of the plain and LaTeX renders of all four constructions at
     # p = 1, 7, q - 1, as the Fraction-angle representation printed them
     LARGE_RENDER_DIGESTS = {
