@@ -9,11 +9,10 @@ Subcommands::
     psiq errata [--qmax N] [--digits D] [--format text|json]
 
 argparse reads every option and the positional p/q; the p/q text is then
-parsed by :func:`psiq.rationals.parse_rational`.  A negative p/q may stand
-before or after the options (``psiq eval -7/3 --digits 30``): a token that
-argparse would take for an option, such as -7/3, is moved behind ``--``
-first, unless it follows an option that takes a value
-(``--corpus -1/x.json``), which then reads it as ``--corpus=-1/x.json``.
+parsed by :func:`psiq.rationals.parse_rational`.  Every token that starts
+with "-" and a digit is a value, never an option: a negative p/q may stand
+before or after the options (``psiq eval -7/3 --digits 30``), and an option
+reads such a token as its value (``--corpus -1/x.json``).
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including malformed rationals), 3 pole or domain error.  Results go
@@ -48,10 +47,11 @@ __all__ = ["main", "run"]
 DEFAULT_DIGITS = 50
 DEFAULT_QMAX = 40
 
-# argparse reads a negative integer ("-1", "--digits -5") as a value by itself
-# but takes any other token that begins with "-", "-7/3" among them, for an
-# option; behind "--" it reads every token as a positional
-_NEGATIVE_NON_INTEGER = re.compile(r"-\d+\D")
+# argparse reads a token that this pattern of its parser matches as a value,
+# never as an option.  Its own pattern admits only negative decimal numbers
+# ("-1", "-.5"); this one admits every token that starts with "-" and a digit
+# ("-7/3", "-1/x.json").  argparse has no public hook for it
+_NEGATIVE_NUMBER = re.compile(r"-\d")
 
 
 def _bounded_int(minimum: int, name: str, noun: str) -> Callable[[str], int]:
@@ -172,6 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_errata.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
     p_errata.add_argument("--format", choices=("text", "json"), default="text")
 
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -192,43 +194,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(previous)
 
 
-def _value_options(parser: argparse.ArgumentParser) -> set[str]:
-    """The option strings of ``parser`` and its subcommands that take a value."""
-    options: set[str] = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                options |= _value_options(sub)
-        elif action.option_strings and action.nargs != 0:
-            options.update(action.option_strings)
-    return options
-
-
-def _shield_negative_tokens(argv: list[str], value_options: set[str]) -> list[str]:
-    """argv with each token that starts like a negative non-integer either
-    joined to the value option before it as ``--option=token`` or moved
-    behind ``--``; a line that has ``--`` already is left as it is."""
-    if "--" in argv:
-        return argv
-    line: list[str] = []
-    moved: list[str] = []
-    for token in argv:
-        if not _NEGATIVE_NON_INTEGER.match(token):
-            line.append(token)
-        elif line and line[-1] in value_options:
-            line[-1] = f"{line[-1]}={token}"
-        else:
-            moved.append(token)
-    return [*line, "--", *moved] if moved else line
-
-
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
-    parser = build_parser()
-    argv = _shield_negative_tokens(
-        list(sys.argv[1:] if argv is None else argv), _value_options(parser)
-    )
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

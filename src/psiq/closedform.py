@@ -162,19 +162,22 @@ class CosineCombination:
 _KIND_ORDER = {"unit": 0, "gamma": 1, "picot": 2, "logprime": 3, "logsin": 4}
 
 
-def _is_prime(n: int) -> bool:
-    """True only for an int that is prime: a Fraction, float or bool that
-    equals a prime is not one."""
-    if type(n) is not int or n < 2:
-        return False
+def _least_factor(n: int) -> int:
+    """The least prime factor of an int n >= 2, by trial division."""
     if n % 2 == 0:
-        return n == 2
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    """True only for an int that is prime: a Fraction, float or bool that
+    equals a prime is not one."""
+    return type(n) is int and n >= 2 and _least_factor(n) == n
 
 
 @dataclass(frozen=True)
@@ -253,17 +256,11 @@ def factor_log_integer(n: int) -> dict[BasisTerm, Fraction]:
     if n < 1:
         raise ValueError("logarithm of a non-positive integer")
     out: dict[BasisTerm, Fraction] = {}
-    m = n
-    f = 2
-    while f * f <= m:
-        while m % f == 0:
-            term = BasisTerm("logprime", f)
-            out[term] = out.get(term, Fraction(0)) + 1
-            m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        term = BasisTerm("logprime", m)
+    while n > 1:
+        f = _least_factor(n)
+        term = BasisTerm("logprime", f)
         out[term] = out.get(term, Fraction(0)) + 1
+        n //= f
     return out
 
 

@@ -10,6 +10,7 @@ never exceptions, and reports are deterministic for a fixed precision.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 import mpmath
 
@@ -254,33 +255,35 @@ def _coprime_pairs(qmax: int):
                 yield p, q
 
 
+def _pairwise_cases(
+    qmax: int, ctx: EvalContext, builders: tuple[tuple[str, Callable], ...]
+) -> tuple[CaseResult, ...]:
+    """Every pair of the (name, builder) constructions, in order, compared at
+    every reduced p/q with 1 <= p < q <= qmax."""
+    tolerance = comparison_tolerance(ctx)
+    cases = []
+    for p, q in _coprime_pairs(qmax):
+        values = [(name, eval_closed_form(build(p, q), ctx)) for name, build in builders]
+        for (name_a, a), (name_b, b) in itertools.combinations(values, 2):
+            diff = abs(a - b)
+            cases.append(CaseResult(f"{p}/{q}", name_a, name_b, diff, bool(diff < tolerance)))
+    return tuple(cases)
+
+
 def compare_formulas(qmax: int, ctx: EvalContext) -> ComparisonReport:
     """Pairwise agreement of the Gauss, Nielsen and Murty-Saradha forms over
     all reduced p/q with 1 <= p < q <= qmax."""
     if qmax < 2:
         raise ValueError("compare_formulas requires qmax >= 2")
-    tolerance = comparison_tolerance(ctx)
-    cases = []
-    for p, q in _coprime_pairs(qmax):
-        argument = f"{p}/{q}"
-        values = {
-            "gauss": eval_closed_form(formulas.gauss_1813(p, q), ctx),
-            "nielsen": eval_closed_form(formulas.nielsen(p, q), ctx),
-            "murty-saradha": eval_closed_form(formulas.murty_saradha(p, q), ctx),
-        }
-        for name_a, name_b in (
-            ("gauss", "nielsen"),
-            ("gauss", "murty-saradha"),
-            ("nielsen", "murty-saradha"),
-        ):
-            diff = abs(values[name_a] - values[name_b])
-            cases.append(
-                CaseResult(argument, name_a, name_b, diff, bool(diff < tolerance))
-            )
+    builders = (
+        ("gauss", formulas.gauss_1813),
+        ("nielsen", formulas.nielsen),
+        ("murty-saradha", formulas.murty_saradha),
+    )
     return ComparisonReport(
         title=f"cross-formula agreement sweep, q <= {qmax}",
         digits=ctx.digits,
-        cases=tuple(cases),
+        cases=_pairwise_cases(qmax, ctx, builders),
         notes=(f"pass tolerance 10^-{ctx.digits - 10}",),
     )
 
@@ -290,17 +293,8 @@ def errata_gr(qmax: int, ctx: EvalContext) -> ComparisonReport:
     limit floor((q+1)/2)-1) against the doubled-sum base form."""
     if qmax < 2:
         raise ValueError("errata_gr requires qmax >= 2")
-    tolerance = comparison_tolerance(ctx)
+    builders = (("gr-8.363(6)", formulas.gr_variant), ("murty-saradha", formulas.murty_saradha))
     m = ctx.mp
-    cases = []
-    for p, q in _coprime_pairs(qmax):
-        diff = abs(
-            eval_closed_form(formulas.gr_variant(p, q), ctx)
-            - eval_closed_form(formulas.murty_saradha(p, q), ctx)
-        )
-        cases.append(
-            CaseResult(f"{p}/{q}", "gr-8.363(6)", "murty-saradha", diff, bool(diff < tolerance))
-        )
     # direct numeric measurement of the summand the shortened sum drops
     dropped = abs(m.cos(m.pi) * m.log(m.sin(m.pi / 2)))
     notes = (
@@ -314,7 +308,7 @@ def errata_gr(qmax: int, ctx: EvalContext) -> ComparisonReport:
     return ComparisonReport(
         title=f"shortened-sum variant (GR 8.363(6)) sweep, q <= {qmax}",
         digits=ctx.digits,
-        cases=tuple(cases),
+        cases=_pairwise_cases(qmax, ctx, builders),
         notes=notes,
     )
 

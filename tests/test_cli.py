@@ -244,3 +244,24 @@ class TestArgumentOrder:
         code, _, err = invoke(capsys, "eval", "1/2", "--digits", "-7/3")
         assert code == 2
         assert "invalid digit count '-7/3'" in err
+
+    def test_abbreviated_option_reads_a_negative_looking_value(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        full = invoke(capsys, "table-check", "--corpus", "-1/x.json")
+        assert full[0] == 2
+        assert invoke(capsys, "table-check", "--corp", "-1/x.json") == full
+
+    def test_abbreviated_option_before_negative_rational(self, capsys):
+        expected = invoke(capsys, "eval", "-7/3", "--digits", "30")
+        assert expected[0] == 0
+        assert invoke(capsys, "eval", "--dig", "30", "-7/3") == expected
+
+    def test_negative_rational_before_the_command_is_usage_error(self, capsys):
+        # like any other token that is not a command name
+        for first in ("-7/3", "1/2"):
+            code, out, err = invoke(capsys, first, "exact")
+            assert code == 2
+            assert out == ""
+            assert f"invalid choice: '{first}'" in err

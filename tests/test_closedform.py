@@ -253,6 +253,8 @@ class TestCanonicalize:
         twelve = factor_log_integer(12)
         assert twelve == {log_prime(2): 2, log_prime(3): 1}
         assert factor_log_integer(1) == {}
+        assert factor_log_integer(2 * 3001) == {log_prime(2): 1, log_prime(3001): 1}
+        assert factor_log_integer(3001**2) == {log_prime(3001): 2}
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ class TestParsing:
     def test_rational_literal_is_exact(self):
         assert parse_const_expr("3/4") == Number(Fraction(3, 4))
 
+    def test_decimal_digits_of_any_script(self):
+        # int() reads every character that str.isdecimal() admits
+        assert parse_const_expr("١+1") == BinOp("+", Number(Fraction(1)), Number(Fraction(1)))
+
     def test_slash_before_non_digit_is_division(self):
         tree = parse_const_expr("2/sqrt(2)")
         assert tree == BinOp("/", Number(Fraction(2)), Call("sqrt", Number(Fraction(2))))
@@ -60,7 +64,7 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text,position",
-        [("2 + @", 4), ("2 +", 3), ("(1+2", 4), ("ln 2", 3), ("1 2", 2)],
+        [("2 + @", 4), ("2 +", 3), ("(1+2", 4), ("ln 2", 3), ("1 2", 2), ("2²", 1)],
     )
     def test_error_positions(self, text, position):
         with pytest.raises(ExprSyntaxError) as info:
