@@ -1,10 +1,13 @@
 """Closed-form constructors for digamma values at rational arguments.
 
 The base-case engine is the Murty-Saradha form of the classical rational-
-argument theorem; the Gauss (1813) and Nielsen forms are built from their own
-sums so the three can be cross-checked, and the shortened-sum variant printed
-in Gradshteyn-Ryzhik 8.363(6) is kept verbatim for the errata analyzer.  All
-four come from one linear-time builder, :func:`_theorem_form`.  The top-level
+argument theorem.  It, the Gauss (1813) and Nielsen forms, and the shortened-
+sum variant printed in Gradshteyn-Ryzhik 8.363(6), kept at its printed limit
+for the errata analyzer, all come from one linear-time half-sum builder,
+:func:`_theorem_form`.  They give two distinct forms:
+gauss_1813(p, q) == nielsen(p, q) and gr_variant(p, q) == murty_saradha(p, q),
+so ``compare`` checks the builder against itself; the independent check is
+the term-by-term references in ``tests/test_formulas.py``.  The top-level
 dispatcher :func:`psi_closed` covers every non-pole rational by combining the
 exact unit-shift recurrence with the base-case engine.
 """
@@ -61,45 +64,34 @@ def _cosine(k: int, w: int, q: int) -> CosineCombination:
     return CosineCombination(_ZERO, q // common, ((k // common, w),))
 
 
-def _theorem_form(
-    p: int,
-    q: int,
-    log_arg: int,
-    upper: int,
-    weight: int,
-    ln2_mass: bool,
-    halve_middle: bool = False,
-) -> ClosedForm:
-    """-gamma - ln(log_arg) - (pi/2)cot(pi p/q)
-    + sum_{j=1}^{upper} w_j cos(2 pi p j/q) [ln sin(pi j/q) + (ln 2 if ln2_mass)],
+def _theorem_form(p: int, q: int, ln2_mass: bool, upper: int) -> ClosedForm:
+    """-gamma - ln(q if ln2_mass else 2q) - (pi/2)cot(pi p/q)
+    + sum'_{j=1}^{upper} 2 cos(2 pi p j/q) [ln sin(pi j/q) + (ln 2 if ln2_mass)]
+    for upper <= q/2, where the prime gives the j = q/2 term of an even q weight 1.
 
-    with w_j = weight, halved at j = q/2 if halve_middle.  The sum runs in
-    linear time over integers: ln sin folds j to m = min(j, q - j), where
-    j = q/2 gives ln sin(pi/2) = 0, and each cosine folds k = p*j mod q into
-    [0, q/2] the way ``from_cos`` does.  j and q - j fold to the same k, so
-    each ln sin(pi m/q) carries one cosine, whose weights are summed; the
-    ln 2 mass is an integer map keyed by k.  The cotangent angle is folded
-    into (0, 1/2] and the ln 2 mass merged with the ln 2 of ln(log_arg)
-    here, so the terms come out canonical and in canonical order, and the
+    Linear time over integers: each cosine folds k = p*j mod q into [0, q/2]
+    the way ``from_cos`` does, and the ln 2 mass is an integer map keyed by k.
+    Each ln sin(pi j/q) comes once and in canonical order (j = q/2 gives
+    ln sin(pi/2) = 0), and the cotangent angle is folded into (0, 1/2], so the
     form is frozen without ``ClosedForm.build``.
     """
     _check_pq(p, q)
-    log_sins: dict[int, tuple[int, int]] = {}  # m -> (k, summed weight)
+    log_arg = q if ln2_mass else 2 * q
     logs = {term.arg: {0: -exponent} for term, exponent in factor_log_integer(log_arg).items()}
     ln2 = logs.setdefault(2, {})  # receives the sum's mass if ln2_mass
+    log_sins = []
     for j in range(1, upper + 1):
-        w = weight // 2 if halve_middle and 2 * j == q else weight
         k = p * j % q
         if 2 * k > q:
             k = q - k
         if 4 * k == q:
             continue  # cos(pi/2) = 0
+        w = 1 if 2 * j == q else 2
         if 2 * k == q:
             k, w = 0, -w  # cos(pi) = -1; k = 0 is the rational part
-        m = min(j, q - j)
-        if 2 * m != q:
-            prior = log_sins.get(m)
-            log_sins[m] = (k, w) if prior is None else (k, prior[1] + w)
+        if 2 * j != q:
+            g = math.gcd(j, q)
+            log_sins.append((BasisTerm("logsin", (j // g, q // g)), _cosine(k, w, q)))
         if ln2_mass:
             ln2[k] = ln2.get(k, 0) + w
     coefficients = [(GAMMA, CosineCombination(Fraction(-1)))]
@@ -108,9 +100,7 @@ def _theorem_form(
         coefficients.append((BasisTerm("picot", (min(p, q - p), q)), cot))
     for prime, acc in sorted(logs.items()):
         coefficients.append((BasisTerm("logprime", prime), _combination(acc, q)))
-    for m, (k, w) in sorted(log_sins.items()):
-        g = math.gcd(m, q)
-        coefficients.append((BasisTerm("logsin", (m // g, q // g)), _cosine(k, w, q)))
+    coefficients += log_sins
     return ClosedForm(tuple((term, c) for term, c in coefficients if not c.is_zero))
 
 
@@ -118,36 +108,41 @@ def murty_saradha(p: int, q: int) -> ClosedForm:
     """-gamma - ln(2q) - (pi/2)cot(pi p/q)
     + 2 sum_{j=1}^{floor(q/2)} cos(2 pi p j/q) ln sin(pi j/q).
 
-    For even q the j = q/2 summand multiplies ln sin(pi/2) = 0 and vanishes
-    from the canonical form.
+    For even q the j = q/2 summand multiplies ln sin(pi/2) = 0, so the primed
+    half sum, which gives it weight 1, is the same form.
     """
-    return _theorem_form(p, q, 2 * q, q // 2, 2, ln2_mass=False)
+    return _theorem_form(p, q, ln2_mass=False, upper=q // 2)
 
 
 def gauss_1813(p: int, q: int) -> ClosedForm:
     """-gamma - ln q - (pi/2)cot(pi p/q)
     + sum'_{j=1}^{floor(q/2)} cos(2 pi j p/q) ln(2 - 2 cos(2 pi j/q)),
 
-    where the primed sum halves the j = q/2 term for even q.  Each
-    ln(2 - 2 cos(2 pi j/q)) is rewritten exactly as 2 ln 2 + 2 ln sin(pi j/q)
-    (since 2 - 2 cos t = 4 sin^2(t/2)) so all three formulas share one basis;
-    unlike the doubled-sum form, the halved j = q/2 term contributes real
-    2 ln 2 mass here.
+    where the primed sum halves the j = q/2 term for even q.  Since
+    2 - 2 cos t = 4 sin^2(t/2), each ln(2 - 2 cos(2 pi j/q)) is exactly
+    2 ln 2 + 2 ln sin(pi j/q): the primed half sum with ln 2 mass.
     """
-    return _theorem_form(p, q, q, q // 2, 2, ln2_mass=True, halve_middle=True)
+    return _theorem_form(p, q, ln2_mass=True, upper=q // 2)
 
 
 def nielsen(p: int, q: int) -> ClosedForm:
     """-gamma - ln q - (pi/2)cot(pi p/q)
-    + sum_{j=1}^{q-1} cos(2 pi p j/q) [ln 2 + ln sin(pi j/q)]."""
-    return _theorem_form(p, q, q, q - 1, 1, ln2_mass=True)
+    + sum_{j=1}^{q-1} cos(2 pi p j/q) [ln 2 + ln sin(pi j/q)].
+
+    j and q - j carry the same ln sin and the same cosine, so the full sum
+    folds to the Gauss form's primed half sum: weight 2 for j < q/2, and
+    weight 1 for the unpaired j = q/2 of an even q.
+    """
+    return _theorem_form(p, q, ln2_mass=True, upper=q // 2)
 
 
 def gr_variant(p: int, q: int) -> ClosedForm:
     """The Murty-Saradha form with upper limit floor((q+1)/2) - 1, exactly as
     printed in Gradshteyn-Ryzhik 8.363(6); kept uncorrected so the errata
-    analyzer can measure any discrepancy."""
-    return _theorem_form(p, q, 2 * q, (q + 1) // 2 - 1, 2, ln2_mass=False)
+    analyzer can measure any discrepancy.  The limit equals floor(q/2) for odd
+    q and drops only the zero j = q/2 summand for even q, so the form is the
+    Murty-Saradha form."""
+    return _theorem_form(p, q, ln2_mass=False, upper=(q + 1) // 2 - 1)
 
 
 def psi_closed(r: Fraction) -> ClosedForm:

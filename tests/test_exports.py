@@ -47,8 +47,9 @@ def test_module_exports_exist():
 
 
 def test_cli_calls_through_bench_bindings(capsys):
-    """The CLI still routes exact and eval through every binding the
-    benchmark rebinds for their layers, so traced runs see each layer."""
+    """The CLI still routes exact, eval, compare and errata through every
+    binding the benchmark rebinds for their layers, so traced runs see each
+    layer."""
     from psiq.cli import run
 
     recorder = load_spans().Recorder()
@@ -56,6 +57,8 @@ def test_cli_calls_through_bench_bindings(capsys):
     try:
         assert run(["exact", "-7/3"]) == 0
         assert run(["eval", "1/2", "--digits", "30"]) == 0
+        assert run(["compare", "--qmax", "4", "--digits", "15"]) == 0
+        assert run(["errata", "--qmax", "4", "--digits", "15"]) == 0
     finally:
         recorder.restore()
     assert capsys.readouterr().out.splitlines()[1] == "-1.96351002602142347944097633300"
@@ -65,7 +68,12 @@ def test_cli_calls_through_bench_bindings(capsys):
         "rationals.shift",
         "formulas.psi_closed",
         "formulas.murty_saradha",
+        "formulas.gauss_1813",
+        "formulas.nielsen",
+        "formulas.gr_variant",
         "closedform.render",
         "numerics.eval",
         "numerics.format",
+        "verification.compare",
+        "verification.errata",
     }

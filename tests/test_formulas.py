@@ -142,10 +142,16 @@ class TestPreconditions:
 class TestBuilderMatchesReference:
     def test_every_reduced_pair_to_q60(self):
         for p, q in coprime_pairs(60):
+            references = {}
             for fn, reference in REFERENCES:
                 form, expected = fn(p, q), reference(p, q)
                 assert form == expected, (fn.__name__, p, q)
                 assert render(form) == render(expected), (fn.__name__, p, q)
+                references[reference] = expected
+            # the two identities the half-sum builder relies on, proved
+            # through the term-by-term references rather than the builder
+            assert references[reference_gauss_1813] == references[reference_nielsen], (p, q)
+            assert references[reference_gr_variant] == references[reference_murty_saradha], (p, q)
 
     def test_direct_freeze_is_canonical(self):
         # the builder freezes without ClosedForm.build, which must leave its forms alone
