@@ -131,10 +131,9 @@ def const_pi(ctx: EvalContext) -> BigReal:
 
 def const_gamma(ctx: EvalContext) -> BigReal:
     """The Euler constant, defined as -psi(1) via the asymptotic oracle."""
-    # D is in the key beside the working precision: the oracle shifts to
-    # x >= max(20, D) and truncates at 10^-(D+10), so its value depends on D
-    key = (ctx.workdps, "gamma", ctx.digits)
-    value = _values.get(key, 1, lambda: (-oracle_psi_asymptotic(Fraction(1), ctx))._mpf_)
+    value = _values.get(
+        (ctx.workdps, "gamma"), 1, lambda: (-oracle_psi_asymptotic(Fraction(1), ctx))._mpf_
+    )
     return ctx.mp.make_mpf(value)
 
 
@@ -178,45 +177,48 @@ def _cos_sin_pi(j: int, q: int, prec: int) -> tuple[int, int]:
 class _SineTable:
     """sin(pi*j/q) and ln sin(pi*j/q), 0 < j <= q/2, as integers scaled by 2^prec.
 
-    Sines are filled a block of 64 consecutive j at a time, when one of its
-    indices is first needed: the block's first value comes from libmp's
-    cos/sin at an explicit precision, the rest from rotating it by pi/q in
-    fixed point at prec + 16 bits.  Each rotation adds at most 3 units of
+    The table's unit is a block of 64 consecutive j.  A block's sines and
+    their logs are filled and stored together, the first time any slot of
+    the block is read.  The block's first sine comes from libmp's cos/sin
+    at an explicit precision, the rest from rotating it by pi/q in fixed
+    point at prec + 16 bits.  Each rotation adds at most 3 units of
     2^-(prec+16) to the error, so a block ends within 3*64 of those units,
     whatever q is; rounded to prec bits each sine is within 0.51*2^-prec.
 
     ln sin(pi*j/q) is the log of the stored sine, within q/(3j) units of
     2^-prec of the true one, since sin(pi*x) >= 2x on [0, 1/2].  For j < 32
-    libmp's log gives it on first use, slot by slot, rounded down to prec
-    bits (within 1 unit).  From j = 32 on, the logs of a block are filled
-    together the first time one of them is read, at w = prec + 16 bits:
-    libmp's log gives the first, within 1.01 units of 2^-w, and each next
-    one follows from the one before as ln s_j = ln s_{j-1} + 2*atanh(u),
-    u = (s_j - s_{j-1})/(s_j + s_{j-1}), from the stored sines shifted left
-    by 16 bits (:meth:`_chain`).  Each of the at most 63 steps adds less
-    than 3.2 units of 2^-w, so the chain stays within 2^-8 units of
-    2^-prec, and rounded to prec bits a chained log is within
-    (1/2 + 2^-8 + q/(3j))*2^-prec.  Every slot is thus within
-    (1 + q/(3j))*2^-prec.
+    libmp's log gives it rounded down to prec bits (within 1 unit); slot 0
+    is held as 0.  From j = 32 on, at w = prec + 16 bits, libmp's log gives
+    the first log of a block (j = 32 in block 0), within 1.01 units of
+    2^-w, and each next one follows from the one before as
+    ln s_j = ln s_{j-1} + 2*atanh(u), u = (s_j - s_{j-1})/(s_j + s_{j-1}),
+    from the stored sines shifted left by 16 bits (:meth:`_chain`).  Each
+    of the at most 63 steps adds less than 3.2 units of 2^-w, so the chain
+    stays within 2^-8 units of 2^-prec, and rounded to prec bits a chained
+    log is within (1/2 + 2^-8 + q/(3j))*2^-prec.  Every slot is thus
+    within (1 + q/(3j))*2^-prec.
 
-    No mpmath context is involved, so threads can share a table: a value
-    two threads fill at once is the same integer.
+    No mpmath context is involved, so threads can share a table: a block
+    two threads fill at once holds the same integers, and the first one
+    stored is kept.
     """
 
     def __init__(self, q: int, prec: int) -> None:
         self.q, self.prec = q, prec
         self.slots = q // 2 + 1
         self._step = _cos_sin_pi(1, q, prec + 16)
-        # memory grows with the blocks used
-        self._sines: dict[int, list[int]] = {}  # block index -> sines
-        self._logs: dict[int, list[int]] = {}  # block index -> its chained ln sines
-        self._direct: dict[int, int] = {}  # j < _DIRECT -> ln sine
+        # block index -> (sines, ln sines); memory grows with the blocks used
+        self._blocks: dict[int, tuple[list[int], list[int]]] = {}
 
-    def _sine_block(self, b: int) -> list[int]:
-        sines = self._sines.get(b)
-        if sines is None:
-            sines = self._sines.setdefault(b, self._fill(b))
-        return sines
+    def _block(self, b: int) -> tuple[list[int], list[int]]:
+        block = self._blocks.get(b)
+        if block is None:
+            sines = self._fill(b)
+            logs = [0, *(self._log(s, self.prec) for s in sines[1:_DIRECT])] if b == 0 else []
+            if len(sines) > len(logs):
+                logs += self._chain(sines[len(logs) :])
+            block = self._blocks.setdefault(b, (sines, logs))
+        return block
 
     def _fill(self, b: int) -> list[int]:
         wide = self.prec + 16
@@ -231,7 +233,7 @@ class _SineTable:
 
     def sin(self, j: int) -> int:
         b, i = divmod(j, _BLOCK)
-        return self._sine_block(b)[i]
+        return self._block(b)[0][i]
 
     def cos2(self, k: int) -> int:
         """cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q), 0 <= k <= q/2, within 3*2^-prec."""
@@ -246,19 +248,12 @@ class _SineTable:
         return libmp.to_fixed(libmp.mpf_log(x, prec + 8 + self.q.bit_length()), prec)
 
     def log_sin(self, j: int) -> int:
-        if j < _DIRECT:
-            value = self._direct.get(j)
-            if value is None:
-                value = self._direct.setdefault(j, self._log(self.sin(j), self.prec))
-            return value
-        b = j // _BLOCK
-        logs = self._logs.get(b)
-        if logs is None:
-            logs = self._logs.setdefault(b, self._chain(b))
-        return logs[j - max(b * _BLOCK, _DIRECT)]
+        b, i = divmod(j, _BLOCK)
+        return self._block(b)[1][i]
 
-    def _chain(self, b: int) -> list[int]:
-        """ln of the stored sines of block b from j = max(64b, 32) on.
+    def _chain(self, sines: list[int]) -> list[int]:
+        """ln of consecutive stored sines of one block, from a slot j >= 32
+        on: libmp's log gives the first, a chain of steps the rest.
 
         A step adds 2*atanh(u) = 2*u*h(u^2), h(t) = sum_{k<n} t^k/(2k + 1),
         in integers: x = u*2^w rounded down (u is a ratio of stored sines,
@@ -273,8 +268,6 @@ class _SineTable:
         u = tan(pi/(2q))/tan(pi*(2j-1)/(2q)) <= 1/(2j - 1), e >= 6.
         """
         wide = self.prec + 16
-        j0 = max(b * _BLOCK, _DIRECT)
-        sines = self._sine_block(b)[j0 - b * _BLOCK :]
         value = self._log(sines[0], wide)
         logs = [(value + (1 << 15)) >> 16]
         xs = [((s - r) << wide) // (s + r) for r, s in zip(sines, sines[1:])]
@@ -301,9 +294,8 @@ class _ValueCache:
     * the sine table of a common denominator q at P bits, keyed (P, q), of
       q//2 + 1 slots;
     * pi, gamma, ln p and pi*cot(pi*m/q) as raw libmp values at the working
-      precision, one slot each, keyed (workdps, "pi"), (workdps, "gamma", D),
-      (workdps, "logprime", p) and (workdps, "picot", m, q).  gamma's value
-      depends on D as well (:func:`const_gamma`), so its key holds D.
+      precision, one slot each, keyed (workdps, "pi"), (workdps, "gamma"),
+      (workdps, "logprime", p) and (workdps, "picot", m, q).
 
     A new entry evicts least-recently-used ones until the entries kept hold
     at most _SLOT_BUDGET slots; one larger than the budget is returned

@@ -288,6 +288,7 @@ class TestFixedPointEvaluator:
         [
             (7, None),
             (60, None),
+            (65, None),  # block 0 holds 33 slots: its chain is the one slot j = 32
             (97, None),
             (128, None),  # its last block holds the one slot j = 64
             (2999, None),
@@ -295,7 +296,7 @@ class TestFixedPointEvaluator:
             # blocks 0 and 1, a middle block and the last, short one
             (30011, [*range(128), *range(117 * 64, 118 * 64), *range(234 * 64, 15006)]),
         ],
-        ids=["7", "60", "97", "128", "2999", "3001", "30011-four-blocks"],
+        ids=["7", "60", "65", "97", "128", "2999", "3001", "30011-four-blocks"],
     )
     def test_every_table_slot_within_documented_bound(self, q, slots, ctx50):
         prec = mpmath.libmp.dps_to_prec(ctx50.workdps) + 32
