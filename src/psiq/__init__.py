@@ -6,7 +6,13 @@ constant, prime logarithms, pi*cot(pi*x) and ln sin(pi*x) terms with exact
 cosine-combination coefficients, evaluates such forms to any requested
 decimal precision, and cross-verifies them against independent numeric
 oracles and a bundled corpus of published values.
+
+The numerics and verification names are loaded the first time they are
+used, so a process that only builds and prints exact forms never imports
+mpmath.
 """
+
+import importlib
 
 from .closedform import (
     GAMMA,
@@ -27,17 +33,6 @@ from .formulas import (
     psi_closed,
     reflect,
 )
-from .numerics import (
-    EvalContext,
-    bernoulli_even,
-    comparison_tolerance,
-    const_gamma,
-    const_pi,
-    eval_closed_form,
-    format_decimal,
-    oracle_psi_asymptotic,
-    oracle_psi_series,
-)
 from .rationals import (
     PoleError,
     ShiftDecomposition,
@@ -45,19 +40,40 @@ from .rationals import (
     parse_rational,
     shift_decompose,
 )
-from .verification import (
-    ComparisonReport,
-    TableEntry,
-    bundled_corpus_path,
-    bundled_errata_path,
-    compare_formulas,
-    errata_gr,
-    errata_jensen,
-    load_corpus,
-    verify_tables,
-)
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported on first use (PEP 562)
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "EvalContext",
+            "bernoulli_even",
+            "comparison_tolerance",
+            "const_gamma",
+            "const_pi",
+            "eval_closed_form",
+            "format_decimal",
+            "oracle_psi_asymptotic",
+            "oracle_psi_series",
+        ),
+        "numerics",
+    ),
+    **dict.fromkeys(
+        (
+            "ComparisonReport",
+            "TableEntry",
+            "bundled_corpus_path",
+            "bundled_errata_path",
+            "compare_formulas",
+            "errata_gr",
+            "errata_jensen",
+            "load_corpus",
+            "verify_tables",
+        ),
+        "verification",
+    ),
+}
 
 __all__ = [
     "BasisTerm",
@@ -99,3 +115,15 @@ __all__ = [
     "shift_decompose",
     "verify_tables",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    # never replaces a binding made while the module was imported
+    return globals().setdefault(name, value)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})

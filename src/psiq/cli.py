@@ -22,27 +22,49 @@ to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .closedform import ClosedForm, render
+from .closedform import MIN_DIGITS, ClosedForm, render
 from .formulas import psi_closed
-from .numerics import MIN_DIGITS, EvalContext, eval_closed_form, format_decimal
 from .rationals import PoleError, parse_rational
-from .verification import (
-    ComparisonReport,
-    bundled_corpus_path,
-    compare_formulas,
-    errata_gr,
-    errata_jensen,
-    load_corpus,
-    verify_tables,
-)
+
+if TYPE_CHECKING:
+    from .verification import ComparisonReport
 
 __all__ = ["main", "run"]
+
+# name -> the module that defines it, imported the first time the name is
+# looked up (PEP 562): exact then loads no mpmath, and eval no verification
+_LAZY = {
+    **dict.fromkeys(("EvalContext", "eval_closed_form", "format_decimal"), "numerics"),
+    **dict.fromkeys(
+        (
+            "bundled_corpus_path",
+            "compare_formulas",
+            "errata_gr",
+            "errata_jensen",
+            "load_corpus",
+            "verify_tables",
+        ),
+        "verification",
+    ),
+}
+# the handlers look the lazy names up on this module, whose __getattr__ a
+# bare global would bypass; under ``python -m psiq.cli`` it is __main__
+_lazy = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    # never replaces a binding made while the module was imported
+    return globals().setdefault(name, value)
 
 DEFAULT_DIGITS = 50
 DEFAULT_QMAX = 40
@@ -95,8 +117,8 @@ def _cmd_exact(r: Fraction, form: ClosedForm, fmt: str) -> int:
 
 
 def _cmd_eval(r: Fraction, form: ClosedForm, digits: int, fmt: str) -> int:
-    ctx = EvalContext(digits)
-    text = format_decimal(eval_closed_form(form, ctx), digits)
+    ctx = _lazy.EvalContext(digits)
+    text = _lazy.format_decimal(_lazy.eval_closed_form(form, ctx), digits)
     if fmt == "json":
         print(json.dumps({"argument": str(r), "digits": digits, "value": text}))
     else:
@@ -105,27 +127,27 @@ def _cmd_eval(r: Fraction, form: ClosedForm, digits: int, fmt: str) -> int:
 
 
 def _cmd_table_check(corpus: Optional[str], digits: int, fmt: str) -> int:
-    path = corpus if corpus is not None else bundled_corpus_path()
+    path = corpus if corpus is not None else _lazy.bundled_corpus_path()
     try:
-        entries = load_corpus(path)
+        entries = _lazy.load_corpus(path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = verify_tables(entries, EvalContext(digits))
+    report = _lazy.verify_tables(entries, _lazy.EvalContext(digits))
     _print_report(report, fmt)
     return 0 if report.all_pass else 1
 
 
 def _cmd_compare(qmax: int, digits: int, fmt: str) -> int:
-    report = compare_formulas(qmax, EvalContext(digits))
+    report = _lazy.compare_formulas(qmax, _lazy.EvalContext(digits))
     _print_report(report, fmt)
     return 0 if report.all_pass else 1
 
 
 def _cmd_errata(qmax: int, digits: int, fmt: str) -> int:
-    ctx = EvalContext(digits)
-    gr_report = errata_gr(qmax, ctx)
-    jensen_report = errata_jensen(ctx)
+    ctx = _lazy.EvalContext(digits)
+    gr_report = _lazy.errata_gr(qmax, ctx)
+    jensen_report = _lazy.errata_jensen(ctx)
     if fmt == "json":
         print(json.dumps([gr_report.to_json_dict(), jensen_report.to_json_dict()], indent=2))
     else:

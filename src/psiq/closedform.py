@@ -51,6 +51,8 @@ __all__ = [
 
 Scalar = Union[int, Fraction]
 
+MIN_DIGITS = 15  # fewest reported digits an evaluation of a form accepts
+
 
 def _as_fraction(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)

@@ -48,7 +48,7 @@ from typing import Any, Callable
 import mpmath
 from mpmath import libmp
 
-from .closedform import UNIT, BasisTerm, ClosedForm, CosineCombination
+from .closedform import MIN_DIGITS, UNIT, BasisTerm, ClosedForm, CosineCombination
 from .rationals import PoleError, is_pole, shift_decompose, upward_sum
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 GUARD_DIGITS = 15
-MIN_DIGITS = 15  # fewest reported digits an evaluation accepts
 
 BigReal = Any  # mpmath.mpf bound to a per-precision context
 

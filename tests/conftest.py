@@ -3,18 +3,37 @@
 The oracles here are deliberately separate from the package's own code
 paths: pi comes from a scaled-integer Machin evaluation, gamma and digamma
 references come from mpmath's builtin implementations (Brent-McMillan and
-its own psi), which the package itself never calls.
+its own psi), which the package itself never calls.  :func:`fresh_python`
+runs a new interpreter, for checks that need modules not yet imported.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from psiq import EvalContext, is_pole
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports psiq from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        check=False,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,24 @@
 """Every public name psiq exports, and every binding the benchmark's span
 recorder rebinds, resolves; a removed name that the benchmark still looks up
-would otherwise surface only as failed traced operations."""
+would otherwise surface only as failed traced operations.  psiq and psiq.cli
+import the numerics and verification names on first use: a fresh interpreter
+checks which modules each subcommand loads, and that the recorder's wrappers
+around those names still see every call."""
 
+import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import psiq
+import psiq.cli
+from psiq import closedform, numerics
+
+from conftest import fresh_python
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -77,3 +88,124 @@ def test_cli_calls_through_bench_bindings(capsys):
         "verification.compare",
         "verification.errata",
     }
+
+
+# psiq.__all__ is listed by dir() before any lazy name is loaded; then, after
+# each command, the modules that are loaded; last, whether loading the
+# verification names kept a binding set on one of them beforehand
+COLD_START = """
+import contextlib, io, json, sys
+import psiq
+from psiq.cli import run
+
+heavy = ("mpmath", "psiq.numerics", "psiq.expressions", "psiq.verification")
+found = {"dir": set(psiq.__all__) <= set(dir(psiq))}
+found["import"] = [m for m in heavy if m in sys.modules]
+psiq.errata_jensen = psiq.cli.errata_jensen = kept = object()
+for argv in (
+    ["exact", "-7/3"],
+    ["eval", "1/2", "--digits", "30"],
+    ["compare", "--qmax", "4", "--digits", "15"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0
+    found[argv[0]] = [m for m in heavy if m in sys.modules]
+psiq.compare_formulas
+found["kept"] = psiq.errata_jensen is kept and psiq.cli.errata_jensen is kept
+print(json.dumps(found))
+"""
+
+
+def test_subcommands_load_only_what_they_use():
+    proc = fresh_python("-c", COLD_START)
+    assert proc.returncode == 0, proc.stderr.decode()
+    found = json.loads(proc.stdout)
+    assert found["dir"]
+    assert found["import"] == []
+    assert found["exact"] == []
+    assert found["eval"] == ["mpmath", "psiq.numerics"]
+    assert "psiq.verification" in found["compare"]
+    assert found["kept"]
+
+
+# the recorder installed right after import psiq.cli, as bench/worker.py
+# does, then restored and installed again; the layers each command recorded
+COLD_SPANS = """
+import contextlib, importlib.util, io, json, sys
+import psiq.cli
+
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+recorder = spans.Recorder()
+found = []
+for _ in range(2):
+    recorder.install()
+    for argv in (
+        ["eval", "1/2", "--digits", "30"],
+        ["compare", "--qmax", "4", "--digits", "15"],
+        ["errata", "--qmax", "4", "--digits", "15"],
+        ["table-check", "--digits", "30"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = psiq.cli.run(argv)
+        found.append([argv[0], code, [span[2] for span in recorder.take()]])
+    recorder.restore()
+print(json.dumps(found))
+"""
+
+
+def test_bench_spans_record_lazy_names_on_cold_start():
+    proc = fresh_python("-c", COLD_SPANS, str(SPANS_PATH))
+    assert proc.returncode == 0, proc.stderr.decode()
+    found = json.loads(proc.stdout)
+    expected = {
+        "eval": "numerics.eval",
+        "compare": "verification.compare",
+        "errata": "verification.errata",
+        "table-check": "verification.tables",
+    }
+    assert [command for command, _, _ in found] == [*expected] * 2
+    for command, code, layers in found:
+        assert code == 0
+        assert expected[command] in layers
+    # one wrapper around each binding: eval records its evaluation once
+    evals = [layers.count("numerics.eval") for command, _, layers in found if command == "eval"]
+    assert evals == [1, 1]
+
+
+def test_lazy_names_are_the_defining_modules_objects():
+    for module, table in ((psiq, psiq._LAZY), (psiq.cli, psiq.cli._LAZY)):
+        for name, home in table.items():
+            assert getattr(module, name) is getattr(importlib.import_module(f"psiq.{home}"), name)
+    assert numerics.MIN_DIGITS is closedform.MIN_DIGITS
+
+
+def test_star_import_binds_all():
+    namespace: dict = {}
+    exec("from psiq import *", namespace)
+    assert set(psiq.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize("module", [psiq, psiq.cli], ids=lambda m: m.__name__)
+def test_unknown_name_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match=repr(module.__name__)):
+        module.no_such_name
+    assert not hasattr(module, "no_such_name")
+
+
+def test_cli_imports_report_type_only_for_type_checkers():
+    tree = ast.parse(Path(psiq.cli.__file__).read_text(encoding="utf-8"))
+
+    def imported(node) -> list[str]:
+        return [a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for a in n.names]
+
+    guarded = [
+        name
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for name in imported(node)
+    ]
+    assert imported(tree).count("ComparisonReport") == 1
+    assert "ComparisonReport" in guarded
+    assert "ComparisonReport" not in vars(psiq.cli)

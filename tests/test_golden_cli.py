@@ -14,14 +14,14 @@ running this module as a script::
 from __future__ import annotations
 
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from psiq.cli import run
+
+from conftest import fresh_python
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
 
@@ -83,16 +83,38 @@ def test_run_restores_int_str_limit(capsys):
     assert capsys.readouterr().out == golden["stdout"]
 
 
+# each subcommand in each format, in a fresh process: the in-process tests
+# above run after other tests have loaded every module, so they never load a
+# name psiq.cli imports on first use
+FRESH_ARGVS = [
+    argv
+    for argv in golden_argvs()
+    if argv[0] not in ("exact", "eval") or (argv[1] == "-7/3" and "479" not in argv)
+]
+
+
+@pytest.mark.parametrize("argv", FRESH_ARGVS, ids=" ".join)
+def test_fresh_process_output_is_byte_identical(argv):
+    [golden] = [case for case in _load_cases() if case["argv"] == argv]
+    proc = fresh_python("-m", "psiq.cli", *argv)
+    assert proc.returncode == golden["exit"]
+    assert proc.stdout == golden["stdout"].encode("utf-8")
+
+
+def test_fresh_process_exit_codes():
+    usage = fresh_python("-m", "psiq.cli", "eval", "1/2", "--digits", "14")
+    assert usage.returncode == 2
+    assert b"digits must be at least 15" in usage.stderr
+    pole = fresh_python("-m", "psiq.cli", "exact", "0")
+    assert pole.returncode == 3
+    assert pole.stdout == b""
+
+
 def _regenerate() -> None:
     """Run each argv in a fresh ``python -m psiq.cli`` and record its stdout."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     cases = []
     for argv in golden_argvs():
-        proc = subprocess.run(
-            [sys.executable, "-m", "psiq.cli", *argv],
-            env=env, capture_output=True, check=False,
-        )
+        proc = fresh_python("-m", "psiq.cli", *argv)
         cases.append(
             {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout.decode("utf-8")}
         )
