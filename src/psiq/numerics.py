@@ -27,13 +27,21 @@ Two independent digamma oracles are provided:
 
 * :func:`oracle_psi_series` - direct partial sum of
   psi(z) = -gamma - 1/z + sum_{n>=1} z/(n(z+n)) with a rigorous tail bound;
-* :func:`oracle_psi_asymptotic` - exact upward recurrence to x >= max(20, D)
+* :func:`oracle_psi_asymptotic` - exact upward recurrence to x >= 4D
   followed by the de Moivre expansion
-  ln x - 1/(2x) - sum_k B_{2k}/(2k x^{2k}) with optimal truncation.
+  ln x - 1/(2x) - sum_{k<=K} B_{2k}/(2k x^{2k}), correctly rounded to W
+  bits.  K is counted in advance: the least K whose first omitted term is
+  at most 2^-(P+1) by |B_2k| < 4(2k)!/(2pi)^(2k), at P = W + 64 bits.  The
+  sum and the shift correction are formed in integer fixed point at P bits,
+  within K + 5 units of 2^-P, and rounded once; when that bound straddles
+  a rounding boundary, P grows by 64 bits and the sum is formed again
+  (Ziv, ACM TOMS 1991).
 
 The Euler constant is not hard-coded: it is defined as
--oracle_psi_asymptotic(1), keeping a single source of truth.  Bernoulli
-numbers are exact, from integer tangent numbers (Brent & Harvey, 2011).
+-oracle_psi_asymptotic(1), keeping a single source of truth, and so is
+the W-bit value of gamma rounded to nearest.  Bernoulli numbers are
+exact, from integer tangent numbers (Brent & Harvey, 2011); the oracle
+builds the table B_2 .. B_2K with one call.
 """
 
 from __future__ import annotations
@@ -75,6 +83,8 @@ _EXTRA_BITS = 32  # fixed-point bits beyond the working precision
 _BLOCK = 64  # sines filled from one cos/sin evaluation by rotation
 _DIRECT = 32  # ln sines below this slot come from libmp's log one by one
 _SLOT_BUDGET = 1 << 16  # slots the value cache keeps, over all its entries
+_SHIFT = 4  # the asymptotic oracle shifts its argument to x >= 4D
+_ORACLE_EXTRA_BITS = 64  # the oracle's fixed-point bits beyond W, and its retry step
 _bernoulli: list[Fraction] = []  # [B_2, B_4, ...]
 _bernoulli_lock = threading.Lock()
 
@@ -129,7 +139,8 @@ def const_pi(ctx: EvalContext) -> BigReal:
 
 
 def const_gamma(ctx: EvalContext) -> BigReal:
-    """The Euler constant, defined as -psi(1) via the asymptotic oracle."""
+    """The Euler constant, defined as -psi(1) via the asymptotic oracle, and
+    so correctly rounded to the working precision."""
     value = _values.get(
         (ctx.workdps, "gamma"), 1, lambda: (-oracle_psi_asymptotic(Fraction(1), ctx))._mpf_
     )
@@ -299,7 +310,7 @@ class _ValueCache:
     A new entry evicts least-recently-used ones until the entries kept hold
     at most _SLOT_BUDGET slots; one larger than the budget is returned
     without being kept and evicts nothing.  A missing value is computed
-    outside the lock (gamma at D = 1000 takes about 0.1 s); when two threads
+    outside the lock (gamma at D = 3000 takes about 0.5 s); when two threads
     compute the same entry, the values are equal and the first one stored is
     kept.
     """
@@ -455,38 +466,97 @@ def oracle_psi_series(
     return value, tail_bound
 
 
-def oracle_psi_asymptotic(r: Fraction, ctx: EvalContext) -> BigReal:
-    """Digamma via exact upward recurrence plus the de Moivre expansion.
+def _term_count(x: Fraction, prec: int) -> int | None:
+    """The least K for which term K + 1 of the de Moivre expansion at x is
+    at most 2^-(prec+1) by the bound 4(2k)!/((2pi)^(2k) 2k x^(2k)), from
+    |B_2k| < 4(2k)!/(2pi)^(2k); None when the bound stops falling first
+    (k > pi*x), so that the expansion at x cannot reach prec bits.  The
+    bound is compared in float logs with a bit to spare."""
+    log_x = math.log2(x.numerator) - math.log2(x.denominator)
+    per_k = 2 * (math.log2(2 * math.pi) + log_x)
+    previous = math.inf
+    k = 1
+    while True:
+        bound = 2 + math.lgamma(2 * k + 1) / math.log(2) - k * per_k - math.log2(2 * k)
+        if bound <= -prec - 1:
+            return k - 1
+        if bound >= previous:
+            return None
+        previous = bound
+        k += 1
 
-    The argument is shifted by exact rational steps to x >= max(20, D); the
-    expansion ln x - 1/(2x) - sum_k B_{2k}/(2k x^{2k}) is truncated when a
-    term drops below 10^-(D+10).  The series is divergent, so term growth
-    stops the summation as well (never reached for x >= max(20, D)).
+
+def _de_moivre(x: Fraction, count: int, prec: int) -> int:
+    """ln x - 1/(2x) - sum_{k <= count} B_2k/(2k x^(2k)) at x >= 60, scaled
+    by 2^prec.  Each part is rounded down on its own, within 1 unit (ln x:
+    libmp's log of x at 20 bits beyond prec and the bits of
+    |ln x| < bitlen(a), within 1 + 2^-18 units); term k is the integer
+    quotient B_2k b^(2k) 2^prec / (2k a^(2k)) for x = a/b.  The table
+    B_2 .. B_2count is built by one call of :func:`bernoulli_even`."""
+    a, b = x.numerator, x.denominator
+    wide = prec + 20 + a.bit_length().bit_length()
+    total = libmp.to_fixed(libmp.mpf_log(libmp.from_rational(a, b, wide), wide), prec)
+    total -= (b << prec) // (2 * a)
+    if count:
+        bernoulli_even(count)
+        with _bernoulli_lock:
+            numbers = _bernoulli[:count]
+        a2, b2 = a * a, b * b
+        up, down = 1, 1
+        for k, number in enumerate(numbers, 1):
+            up, down = up * b2, down * a2
+            total -= (number.numerator * up << prec) // (number.denominator * 2 * k * down)
+    return total
+
+
+def _rounded(total: int, error: int, prec: int, work: int) -> tuple | None:
+    """total*2^-prec rounded to nearest at work bits as a raw libmp value, or
+    None when some value within error units of 2^-prec of it rounds
+    differently (Ziv's test: rounding is monotonic, so the two ends decide)."""
+    low, high = (
+        libmp.from_man_exp(total + side * error, -prec, work, libmp.round_nearest)
+        for side in (-1, 1)
+    )
+    return low if low == high else None
+
+
+def oracle_psi_asymptotic(r: Fraction, ctx: EvalContext) -> BigReal:
+    """Digamma via exact upward recurrence plus the de Moivre expansion,
+    correctly rounded to the W working bits.
+
+    The argument is shifted by exact rational steps to x >= 4D (the measured
+    cheapest multiple of D), psi(r) = psi(x) - sum_{k<steps} 1/(r + k).  At
+    x > 0 the remainder of ln x - 1/(2x) - sum_{k<=K} B_2k/(2k x^(2k)) lies
+    below its first omitted term (DLMF 5.11(ii)), so K is fixed in advance
+    from a bound on that term (:func:`_term_count`) and the table is built
+    exactly K long.  The sum and the exact correction are formed in integer
+    fixed point at P = W + 64 bits, each of the K + 3 parts rounded down,
+    so with the truncation the result is within K + 5 units of 2^-P.  It is
+    rounded once to W bits when that bound decides the rounding; otherwise
+    (a value near a rounding boundary, or a tiny psi near its root at
+    1.4616...) P grows by 64 bits and the sum is formed again (Ziv, ACM TOMS
+    1991), and x is doubled whenever the expansion at x cannot reach P bits.
     """
     if is_pole(r):
         raise PoleError("digamma pole at non-positive integer")
-    m = ctx.mp
-    x_min = max(20, ctx.digits)
-    steps = max(0, math.ceil(x_min - r))
+    steps = max(0, math.ceil(_SHIFT * ctx.digits - r))
     correction = upward_sum(r, steps)
-    x_exact = r + steps
-    x = ctx.from_fraction(x_exact)
-    value = m.log(x) - 1 / (2 * x)
-    x2 = x * x
-    power = x2
-    eps = m.mpf(10) ** (-(ctx.digits + 10))
-    previous = m.inf
-    k = 1
+    x = r + steps
+    work = libmp.dps_to_prec(ctx.workdps)
+    prec = work
     while True:
-        term = ctx.from_fraction(bernoulli_even(k)) / (2 * k * power)
-        size = abs(term)
-        if size < eps or size >= previous:
-            break
-        value -= term
-        previous = size
-        power *= x2
-        k += 1
-    return value - ctx.from_fraction(correction)
+        prec += _ORACLE_EXTRA_BITS
+        count = _term_count(x, prec)
+        while count is None:
+            steps = math.ceil(x)
+            correction += upward_sum(x, steps)
+            x += steps
+            count = _term_count(x, prec)
+        total = _de_moivre(x, count, prec)
+        total -= (correction.numerator << prec) // correction.denominator
+        value = _rounded(total, count + 5, prec, work)
+        if value is not None:
+            return ctx.mp.make_mpf(value)
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ class TestPinnedValues:
         "10637/3050", "8705/3246", "9634/3081", "6857/2442", "7967/3476", "10613/3188",
     ]
     TEXT_DIGEST = "903565e61131a446ce289b97941bbd384b77e12c591f7385c7f409391dcf5ade"
-    REPR_DIGEST = "558230e45c5642d78f1b1c59d4254f8a2a7f4375b40ab158f71e735d3117b4e8"
+    REPR_DIGEST = "30df3716a4c1aa6525dc556634becd9b432eb6d07c4b91e29aaaa7dc11e4a7a3"
 
     @pytest.fixture(scope="class")
     def values(self):
@@ -582,7 +582,8 @@ class TestAsymptoticOracle:
         monkeypatch.setattr(numerics, "upward_sum", recorded)
         oracle_psi_asymptotic(r, EvalContext(digits))
         [(x, steps, correction)] = calls
-        assert (x, steps) == (r, max(0, math.ceil(max(20, digits) - r)))
+        # the documented shift rule: x = r + steps >= 4D
+        assert (x, steps) == (r, max(0, math.ceil(4 * digits - r)))
         assert correction == sequential_upward_sum(r, steps)
 
     def test_agreement_with_closed_forms_on_random_sample(self, ctx50):
@@ -598,6 +599,101 @@ class TestAsymptoticOracle:
             assert abs(
                 oracle_psi_asymptotic(r, ctx50) - reference_digamma(r)
             ) < ctx50.mp.mpf(10) ** -45
+
+
+ORACLE_CASES = [
+    (r, digits)
+    for digits in (30, 479)
+    for r in (Fraction(1, 3), Fraction(-7, 3), Fraction(25, 2), Fraction(100))
+]
+
+
+def working_bits(digits: int) -> int:
+    return mpmath.libmp.dps_to_prec(digits + numerics.GUARD_DIGITS)
+
+
+def rounded_reference(compute, digits: int, extra: int = 200) -> tuple:
+    """mpmath's value ``compute(m)`` at W + extra bits, rounded to nearest at
+    the W working bits of D digits, as a raw libmp value."""
+    work = working_bits(digits)
+    m = mpmath.mp.clone()
+    m.prec = work + extra
+    return mpmath.libmp.mpf_pos(compute(m)._mpf_, work, mpmath.libmp.round_nearest)
+
+
+def mpmath_digamma(r: Fraction):
+    return lambda m: m.digamma(m.mpf(r.numerator) / r.denominator)
+
+
+def shifted(r: Fraction, digits: int) -> Fraction:
+    """The point the asymptotic oracle expands at, by its documented rule."""
+    return r + max(0, math.ceil(4 * digits - r))
+
+
+class TestCorrectRounding:
+    """gamma and the asymptotic oracle are the W-bit values rounded to
+    nearest; mpmath serves only as the reference."""
+
+    @pytest.mark.parametrize("digits", [15, 30, 39, 50, 60, 400, 479, 1000, 3000])
+    def test_gamma(self, digits):
+        reference = rounded_reference(lambda m: +m.euler, digits)
+        assert const_gamma(EvalContext(digits))._mpf_ == reference
+
+    @pytest.mark.parametrize("r, digits", ORACLE_CASES)
+    def test_oracle(self, r, digits):
+        reference = rounded_reference(mpmath_digamma(r), digits)
+        assert oracle_psi_asymptotic(r, EvalContext(digits))._mpf_ == reference
+
+    @pytest.mark.parametrize("r, digits", ORACLE_CASES)
+    def test_first_omitted_term_below_truncation_bound(self, r, digits):
+        prec = working_bits(digits) + 64
+        x = shifted(r, digits)
+        count = numerics._term_count(x, prec)
+        k = count + 1
+        omitted = abs(mpmath_bernoulli_even(k)) / (2 * k * x ** (2 * k))
+        assert omitted <= Fraction(1, 2 ** (prec + 1))
+
+    @pytest.mark.parametrize("digits", [30, 479])
+    def test_cold_build_is_exactly_the_term_count(self, digits, cleared_bernoulli):
+        oracle_psi_asymptotic(Fraction(1), EvalContext(digits))
+        count = numerics._term_count(shifted(Fraction(1), digits), working_bits(digits) + 64)
+        assert len(numerics._bernoulli) == count
+
+    def test_forced_retry_keeps_the_value(self, monkeypatch):
+        ctx, r = EvalContext(479), Fraction(1, 3)
+        expected = oracle_psi_asymptotic(r, ctx)
+        precisions = []
+        rounded, de_moivre = numerics._rounded, numerics._de_moivre
+
+        def first_ambiguous(total, error, prec, work):
+            return rounded(total, error, prec, work) if precisions[1:] else None
+
+        def recorded(x, count, prec):
+            precisions.append(prec)
+            return de_moivre(x, count, prec)
+
+        monkeypatch.setattr(numerics, "_rounded", first_ambiguous)
+        monkeypatch.setattr(numerics, "_de_moivre", recorded)
+        assert oracle_psi_asymptotic(r, ctx) == expected
+        assert precisions == [working_bits(479) + 64, working_bits(479) + 128]
+
+    def test_near_the_root_retries_and_shifts_further(self, monkeypatch):
+        # psi(r) ~ 2e-201 at this 200-digit r: about 670 bits cancel, beyond
+        # what the expansion at x = 60.46... reaches, so x doubles
+        m = mp_reference(250)
+        root = m.findroot(m.digamma, 1.46)
+        r = Fraction(int(m.nint(root * 10**200)), 10**200)
+        points = []
+        de_moivre = numerics._de_moivre
+
+        def recorded(x, count, prec):
+            points.append(x)
+            return de_moivre(x, count, prec)
+
+        monkeypatch.setattr(numerics, "_de_moivre", recorded)
+        value = oracle_psi_asymptotic(r, EvalContext(15))
+        assert value._mpf_ == rounded_reference(mpmath_digamma(r), 15, extra=1200)
+        assert len(points) > 2 and points[0] == shifted(r, 15) and points[-1] > points[0]
 
 
 class TestFormatDecimal:
