@@ -7,44 +7,53 @@ cosine-combination coefficients, evaluates such forms to any requested
 decimal precision, and cross-verifies them against independent numeric
 oracles and a bundled corpus of published values.
 
-The numerics and verification names are loaded the first time they are
-used, so a process that only builds and prints exact forms never imports
-mpmath.
+Every name is loaded from its defining submodule the first time it is used,
+so ``import psiq`` imports no submodule, and a process that only builds and
+prints exact forms never imports mpmath.
 """
 
 import importlib
 
-from .closedform import (
-    GAMMA,
-    UNIT,
-    BasisTerm,
-    ClosedForm,
-    CosineCombination,
-    log_prime,
-    log_sin,
-    pi_cot,
-    render,
-)
-from .formulas import (
-    gauss_1813,
-    gr_variant,
-    murty_saradha,
-    nielsen,
-    psi_closed,
-    reflect,
-)
-from .rationals import (
-    PoleError,
-    ShiftDecomposition,
-    is_pole,
-    parse_rational,
-    shift_decompose,
-)
-
 __version__ = "0.1.0"
 
-# name -> the submodule that defines it, imported on first use (PEP 562)
-_LAZY = {
+# name -> the submodule that defines it, imported on first use (PEP 562);
+# psiq.cli loads its own lazy names through this table too
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "GAMMA",
+            "UNIT",
+            "BasisTerm",
+            "ClosedForm",
+            "CosineCombination",
+            "log_prime",
+            "log_sin",
+            "pi_cot",
+            "render",
+        ),
+        "closedform",
+    ),
+    **dict.fromkeys(
+        (
+            "gauss_1813",
+            "gr_variant",
+            "murty_saradha",
+            "nielsen",
+            "psi_closed",
+            "reflect",
+        ),
+        "formulas",
+    ),
+    **dict.fromkeys(
+        (
+            "PoleError",
+            "ShiftDecomposition",
+            "is_pole",
+            "parse_rational",
+            "shift_decompose",
+        ),
+        "rationals",
+    ),
     **dict.fromkeys(
         (
             "EvalContext",
@@ -75,55 +84,22 @@ _LAZY = {
     ),
 }
 
-__all__ = [
-    "BasisTerm",
-    "ClosedForm",
-    "ComparisonReport",
-    "CosineCombination",
-    "EvalContext",
-    "GAMMA",
-    "PoleError",
-    "ShiftDecomposition",
-    "TableEntry",
-    "UNIT",
-    "bernoulli_even",
-    "bundled_corpus_path",
-    "bundled_errata_path",
-    "compare_formulas",
-    "comparison_tolerance",
-    "const_gamma",
-    "const_pi",
-    "errata_gr",
-    "errata_jensen",
-    "eval_closed_form",
-    "format_decimal",
-    "gauss_1813",
-    "gr_variant",
-    "is_pole",
-    "load_corpus",
-    "log_prime",
-    "log_sin",
-    "murty_saradha",
-    "nielsen",
-    "oracle_psi_asymptotic",
-    "oracle_psi_series",
-    "parse_rational",
-    "pi_cot",
-    "psi_closed",
-    "reflect",
-    "render",
-    "shift_decompose",
-    "verify_tables",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def _load(name: str, namespace: dict, module_name: str):
+    """Bind ``name`` in ``namespace``, the globals of module ``module_name``,
+    to the object its defining submodule exports, importing that submodule."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    # never replaces a binding made earlier, such as a wrapper around it
+    return namespace.setdefault(name, value)
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    # never replaces a binding made while the module was imported
-    return globals().setdefault(name, value)
+    return _load(name, globals(), __name__)
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *_EXPORTS})

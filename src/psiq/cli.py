@@ -22,13 +22,13 @@ to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from . import _load
 from .closedform import MIN_DIGITS, ClosedForm, render
 from .formulas import psi_closed
 from .rationals import PoleError, parse_rational
@@ -38,33 +38,17 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "run"]
 
-# name -> the module that defines it, imported the first time the name is
-# looked up (PEP 562): exact then loads no mpmath, and eval no verification
-_LAZY = {
-    **dict.fromkeys(("EvalContext", "eval_closed_form", "format_decimal"), "numerics"),
-    **dict.fromkeys(
-        (
-            "bundled_corpus_path",
-            "compare_formulas",
-            "errata_gr",
-            "errata_jensen",
-            "load_corpus",
-            "verify_tables",
-        ),
-        "verification",
-    ),
-}
-# the handlers look the lazy names up on this module, whose __getattr__ a
-# bare global would bypass; under ``python -m psiq.cli`` it is __main__
+# the numerics and verification names the handlers use are loaded from
+# their defining modules the first time they are looked up, through the
+# package's table (PEP 562): exact then loads no mpmath, and eval no
+# verification.  The handlers look them up on this module, whose __getattr__
+# a bare global would bypass; under ``python -m psiq.cli`` it is __main__
 _lazy = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
-    # never replaces a binding made while the module was imported
-    return globals().setdefault(name, value)
+    return _load(name, globals(), __name__)
+
 
 DEFAULT_DIGITS = 50
 DEFAULT_QMAX = 40

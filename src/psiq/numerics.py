@@ -111,6 +111,8 @@ class EvalContext:
     digits: int = 50
 
     def __post_init__(self) -> None:
+        if isinstance(self.digits, bool) or not isinstance(self.digits, int):
+            raise ValueError(f"EvalContext digits must be an int, got {self.digits!r}")
         if self.digits < MIN_DIGITS:
             raise ValueError(f"EvalContext requires digits >= {MIN_DIGITS}")
 

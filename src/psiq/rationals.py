@@ -45,7 +45,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def is_pole(r: Fraction) -> bool:
-    """Whether r is a pole of the digamma function: 0, -1, -2, ..."""
+    """Whether r is a pole of the digamma function: 0, -1, -2, ...
+
+    Raises ValueError for an r that is not an int or a Fraction: a float
+    0.1 is not the rational it reads as.
+    """
+    if isinstance(r, bool) or not isinstance(r, (int, Fraction)):
+        raise ValueError(f"an argument must be an int or a Fraction, got {r!r}")
     return r.denominator == 1 and r <= 0
 
 

@@ -1,9 +1,10 @@
 """Every public name psiq exports, and every binding the benchmark's span
 recorder rebinds, resolves; a removed name that the benchmark still looks up
-would otherwise surface only as failed traced operations.  psiq and psiq.cli
-import the numerics and verification names on first use: a fresh interpreter
-checks which modules each subcommand loads, and that the recorder's wrappers
-around those names still see every call."""
+would otherwise surface only as failed traced operations.  ``import psiq``
+imports no submodule, and psiq and psiq.cli load each name from its defining
+submodule on first use: a fresh interpreter checks which modules each
+subcommand loads, and that the recorder's wrappers around those names still
+see every call."""
 
 import ast
 import importlib
@@ -90,16 +91,19 @@ def test_cli_calls_through_bench_bindings(capsys):
     }
 
 
-# psiq.__all__ is listed by dir() before any lazy name is loaded; then, after
-# each command, the modules that are loaded; last, whether loading the
-# verification names kept a binding set on one of them beforehand
+# the psiq submodules that import psiq alone loads; whether psiq.__all__ is
+# listed by dir() before any lazy name is loaded; then, after each command,
+# the modules that are loaded; last, whether loading the verification names
+# kept a binding set on one of them beforehand
 COLD_START = """
 import contextlib, io, json, sys
 import psiq
+
+found = {"package": sorted(m for m in sys.modules if m.startswith("psiq."))}
 from psiq.cli import run
 
 heavy = ("mpmath", "psiq.numerics", "psiq.expressions", "psiq.verification")
-found = {"dir": set(psiq.__all__) <= set(dir(psiq))}
+found["dir"] = set(psiq.__all__) <= set(dir(psiq))
 found["import"] = [m for m in heavy if m in sys.modules]
 psiq.errata_jensen = psiq.cli.errata_jensen = kept = object()
 for argv in (
@@ -120,6 +124,7 @@ def test_subcommands_load_only_what_they_use():
     proc = fresh_python("-c", COLD_START)
     assert proc.returncode == 0, proc.stderr.decode()
     found = json.loads(proc.stdout)
+    assert found["package"] == []
     assert found["dir"]
     assert found["import"] == []
     assert found["exact"] == []
@@ -175,9 +180,22 @@ def test_bench_spans_record_lazy_names_on_cold_start():
 
 
 def test_lazy_names_are_the_defining_modules_objects():
-    for module, table in ((psiq, psiq._LAZY), (psiq.cli, psiq.cli._LAZY)):
-        for name, home in table.items():
-            assert getattr(module, name) is getattr(importlib.import_module(f"psiq.{home}"), name)
+    """Each name psiq exports, and each ``_lazy.<name>`` the CLI handlers
+    look up, is the defining submodule's own object.  Only the names the CLI
+    uses are resolved on psiq.cli, so ComparisonReport stays out of it."""
+    tree = ast.parse(Path(psiq.cli.__file__).read_text(encoding="utf-8"))
+    cli_names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_lazy"
+    }
+    assert {"EvalContext", "eval_closed_form", "verify_tables"} <= cli_names
+    for module, names in ((psiq, psiq._EXPORTS), (psiq.cli, cli_names)):
+        for name in names:
+            home = importlib.import_module(f"psiq.{psiq._EXPORTS[name]}")
+            assert getattr(module, name) is getattr(home, name)
     assert numerics.MIN_DIGITS is closedform.MIN_DIGITS
 
 

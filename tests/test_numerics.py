@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -89,6 +90,10 @@ class TestEvalContext:
     def test_minimum_digits(self):
         with pytest.raises(ValueError):
             EvalContext(14)
+        # only an int is a digit count: 15.5 would work at 30.5 digits
+        for digits in (15.5, 50.0, True, "20", None):
+            with pytest.raises(ValueError, match=re.escape(repr(digits))):
+                EvalContext(digits)
 
     def test_guard_digits(self):
         ctx = EvalContext(20)

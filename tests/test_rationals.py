@@ -7,10 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psiq import (
+    EvalContext,
     PoleError,
     ShiftDecomposition,
     eval_closed_form,
     is_pole,
+    oracle_psi_asymptotic,
     parse_rational,
     psi_closed,
     shift_decompose,
@@ -106,6 +108,8 @@ class TestClassify:
             (Fraction(1, 2), False),
             (Fraction(7, 3), False),
             (Fraction(-7, 3), False),
+            (0, True),
+            (3, False),
         ],
     )
     def test_examples(self, r, pole):
@@ -125,6 +129,22 @@ class TestClassify:
                 shift_decompose(r)
         else:
             assert 0 < shift_decompose(r).base <= 1
+
+
+    @pytest.mark.parametrize(
+        "entry",
+        [psi_closed, shift_decompose, lambda r: oracle_psi_asymptotic(r, EvalContext(30))],
+        ids=["psi_closed", "shift_decompose", "oracle_psi_asymptotic"],
+    )
+    @pytest.mark.parametrize("r", [0.5, True, False], ids=repr)
+    def test_entry_points_reject_non_rationals(self, entry, r):
+        # a bool is an int to isinstance, and a float has no denominator
+        with pytest.raises(ValueError, match="must be an int or a Fraction") as info:
+            entry(r)
+        assert not isinstance(info.value, PoleError)
+
+    def test_int_argument_accepted(self):
+        assert psi_closed(3) == psi_closed(Fraction(3))
 
 
 class TestShiftDecompose:
