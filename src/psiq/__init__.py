@@ -97,6 +97,68 @@ def _load(name: str, namespace: dict, module_name: str):
     return namespace.setdefault(name, value)
 
 
+class _Record:
+    """An immutable value record: its fields are its ``__slots__``, in order.
+
+    Records compare equal only to records of the same class with equal
+    fields, hash as the tuple of their fields, print as
+    ``Name(field=value, ...)``, refuse assignment and deletion, and pickle
+    and copy by calling the class with their fields.  A subclass names
+    defaults for its trailing fields in ``_defaults`` and may check its
+    fields in ``_check()``; one that is built in bulk defines its own
+    ``__init__`` and sets its slots with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self.__slots__
+        name = type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields or field in values:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {field!r}")
+            values[field] = value
+        for field in fields:
+            if field in values:
+                object.__setattr__(self, field, values[field])
+            elif field in self._defaults:
+                object.__setattr__(self, field, self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        self._check()
+
+    def _check(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 def __getattr__(name: str):
     return _load(name, globals(), __name__)
 

@@ -22,7 +22,6 @@ to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -84,6 +83,8 @@ def _print_report(report: ComparisonReport, fmt: str) -> None:
 
 def _cmd_exact(r: Fraction, form: ClosedForm, fmt: str) -> int:
     if fmt == "json":
+        import json  # only JSON output loads json
+
         print(
             json.dumps(
                 {
@@ -104,6 +105,8 @@ def _cmd_eval(r: Fraction, form: ClosedForm, digits: int, fmt: str) -> int:
     ctx = _lazy.EvalContext(digits)
     text = _lazy.format_decimal(_lazy.eval_closed_form(form, ctx), digits)
     if fmt == "json":
+        import json
+
         print(json.dumps({"argument": str(r), "digits": digits, "value": text}))
     else:
         print(text)
@@ -133,6 +136,8 @@ def _cmd_errata(qmax: int, digits: int, fmt: str) -> int:
     gr_report = _lazy.errata_gr(qmax, ctx)
     jensen_report = _lazy.errata_jensen(ctx)
     if fmt == "json":
+        import json
+
         print(json.dumps([gr_report.to_json_dict(), jensen_report.to_json_dict()], indent=2))
     else:
         print(gr_report.to_text())

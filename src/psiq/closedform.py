@@ -31,10 +31,11 @@ equality of structurally different forms is checked by evaluating both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from . import _Record
 
 __all__ = [
     "BasisTerm",
@@ -70,8 +71,7 @@ def _check_angle(angle: Scalar) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosineCombination:
+class CosineCombination(_Record):
     """rational + sum of coeff*cos(2*pi*k/denominator) with rational coeffs.
 
     ``cosines`` is a tuple of (k, coeff) pairs with integer numerators k,
@@ -83,15 +83,21 @@ class CosineCombination:
     immutable and canonical by construction.
     """
 
-    rational: Fraction = Fraction(0)
-    denominator: int = 1
-    cosines: tuple[tuple[int, Scalar], ...] = ()
+    __slots__ = ("rational", "denominator", "cosines")
+    rational: Fraction
+    denominator: int
+    cosines: tuple[tuple[int, Scalar], ...]
 
-    def __post_init__(self) -> None:
-        q = self.denominator
+    def __init__(
+        self,
+        rational: Fraction = Fraction(0),
+        denominator: int = 1,
+        cosines: tuple[tuple[int, Scalar], ...] = (),
+    ) -> None:
+        q = denominator
         previous = 0  # numerators strictly increase, so each is stored once
         common = q
-        for k, coeff in self.cosines:
+        for k, coeff in cosines:
             if not previous < k < q - k or 4 * k == q:
                 raise ValueError(f"non-canonical cosine angle {k}/{q}")
             previous = k
@@ -100,6 +106,9 @@ class CosineCombination:
                 raise ValueError("zero cosine coefficient stored")
         if common != 1:
             raise ValueError(f"non-minimal cosine denominator {q}")
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "cosines", cosines)
 
     @classmethod
     def from_rational(cls, value: Scalar) -> "CosineCombination":
@@ -182,8 +191,7 @@ def _is_prime(n: int) -> bool:
     return type(n) is int and n >= 2 and _least_factor(n) == n
 
 
-@dataclass(frozen=True)
-class BasisTerm:
+class BasisTerm(_Record):
     """One irreducible basis constant of a closed form.
 
     kind/arg pairs: ("unit", None) the constant 1; ("gamma", None) the Euler
@@ -195,11 +203,11 @@ class BasisTerm:
     reduce any non-integer rational angle mod 1.
     """
 
+    __slots__ = ("kind", "arg")
     kind: str
-    arg: Union[tuple[int, int], int, None] = None
+    arg: Union[tuple[int, int], int, None]
 
-    def __post_init__(self) -> None:
-        kind, arg = self.kind, self.arg
+    def __init__(self, kind: str, arg: Union[tuple[int, int], int, None] = None) -> None:
         if kind in ("picot", "logsin"):
             if not (
                 type(arg) is tuple
@@ -215,6 +223,8 @@ class BasisTerm:
                 raise ValueError(f"log_prime requires a prime, got {arg!r}")
         elif kind not in ("unit", "gamma") or arg is not None:
             raise ValueError(f"unknown basis term {kind!r} with argument {arg!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arg", arg)
 
     def sort_key(self) -> tuple:
         if self.kind in ("picot", "logsin"):
@@ -279,15 +289,16 @@ def _as_combination(c: CoeffLike) -> CosineCombination:
     return CosineCombination.from_rational(c)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(_Record):
     """Canonical map from basis terms to cosine-combination coefficients.
 
     The empty form is the exact value 0.  Instances are immutable; build new
     ones with :meth:`build`.
     """
 
-    coefficients: tuple[tuple[BasisTerm, CosineCombination], ...] = ()
+    __slots__ = ("coefficients",)
+    _defaults = {"coefficients": ()}
+    coefficients: tuple[tuple[BasisTerm, CosineCombination], ...]
 
     @classmethod
     def build(

@@ -22,10 +22,10 @@ offending subexpression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from . import _Record
 from .numerics import BigReal, EvalContext, const_gamma, const_pi
 
 __all__ = [
@@ -58,30 +58,30 @@ class ExprDomainError(ValueError):
     """Domain violation during evaluation, naming the offending subexpression."""
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(_Record):
+    __slots__ = ("value",)
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(_Record):
+    __slots__ = ("name",)
     name: str  # 'pi' or 'gamma'
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(_Record):
+    __slots__ = ("operand",)
     operand: "ConstExpr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(_Record):
+    __slots__ = ("op", "left", "right")
     op: str  # '+', '-', '*', '/'
     left: "ConstExpr"
     right: "ConstExpr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(_Record):
+    __slots__ = ("func", "arg")
     func: str
     arg: "ConstExpr"
 
@@ -94,8 +94,8 @@ ConstExpr = Union[Number, Name, Neg, BinOp, Call]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(_Record):
+    __slots__ = ("kind", "text", "position")
     kind: str  # 'number', 'name', 'op', 'end'
     text: str
     position: int

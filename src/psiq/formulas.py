@@ -39,8 +39,8 @@ __all__ = [
 
 
 def _check_pq(p: int, q: int) -> None:
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise ValueError("p and q must be integers")
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, q)):
+        raise ValueError(f"p and q must be ints, got p={p!r}, q={q!r}")
     if q < 2 or not 1 <= p < q:
         raise ValueError(f"require 1 <= p < q with q >= 2, got p={p}, q={q}")
     if math.gcd(p, q) != 1:

@@ -49,13 +49,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
 import mpmath
 from mpmath import libmp
 
+from . import _Record
 from .closedform import MIN_DIGITS, UNIT, BasisTerm, ClosedForm, CosineCombination
 from .rationals import PoleError, is_pole, shift_decompose, upward_sum
 
@@ -104,13 +104,14 @@ def _mp_for(dps: int):
     return ctx
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(_Record):
     """Evaluation precision: D reported digits plus ``GUARD_DIGITS``."""
 
-    digits: int = 50
+    __slots__ = ("digits",)
+    _defaults = {"digits": 50}
+    digits: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if isinstance(self.digits, bool) or not isinstance(self.digits, int):
             raise ValueError(f"EvalContext digits must be an int, got {self.digits!r}")
         if self.digits < MIN_DIGITS:

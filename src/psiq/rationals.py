@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from . import _Record
 
 __all__ = [
     "PoleError",
@@ -55,8 +56,7 @@ def is_pole(r: Fraction) -> bool:
     return r.denominator == 1 and r <= 0
 
 
-@dataclass(frozen=True)
-class ShiftDecomposition:
+class ShiftDecomposition(_Record):
     """Reduction of an argument to a base in (0, 1] plus an exact correction.
 
     The defining identity is psi(input) = psi(base) + correction, obtained by
@@ -64,6 +64,7 @@ class ShiftDecomposition:
     inputs above 1, upward for negative inputs).
     """
 
+    __slots__ = ("base", "correction", "step_count")
     base: Fraction
     correction: Fraction
     step_count: int

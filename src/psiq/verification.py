@@ -14,15 +14,13 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Union
 
 import mpmath
 
-from . import formulas
+from . import _Record, formulas
 from .expressions import (
     ConstExpr,
     ExprDomainError,
@@ -55,10 +53,10 @@ __all__ = [
 ERRATA_DETECTION_THRESHOLD = Fraction(1, 1000)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(_Record):
     """One corpus record: label, rational argument, expression, citation."""
 
+    __slots__ = ("label", "argument", "expr", "expr_text", "source")
     label: str
     argument: Fraction
     expr: ConstExpr
@@ -79,8 +77,8 @@ def diff_text(diff: BigReal, digits: int) -> str:
     return mpmath.nstr(diff, 6)
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(_Record):
+    __slots__ = ("argument", "formula_a", "formula_b", "abs_diff", "passed")
     argument: str
     formula_a: str
     formula_b: str
@@ -97,14 +95,15 @@ class CaseResult:
         }
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Record):
     """Every case attempted, in deterministic order, plus summary maxima."""
 
+    __slots__ = ("title", "digits", "cases", "notes")
+    _defaults = {"notes": ()}
     title: str
     digits: int
     cases: tuple[CaseResult, ...]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -162,12 +161,20 @@ class ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
+def _bundled(name: str) -> Path:
+    # importlib.resources loads inspect on Python 3.12 and later, so only
+    # the commands that read a bundled file import it
+    from importlib import resources
+
+    return Path(str(resources.files("psiq") / "data" / name))
+
+
 def bundled_corpus_path() -> Path:
-    return Path(str(resources.files("psiq") / "data" / "tables.txt"))
+    return _bundled("tables.txt")
 
 
 def bundled_errata_path() -> Path:
-    return Path(str(resources.files("psiq") / "data" / "jensen_errata.txt"))
+    return _bundled("jensen_errata.txt")
 
 
 def load_corpus(path: Union[str, Path]) -> list[TableEntry]:
@@ -332,7 +339,10 @@ def errata_jensen(ctx: EvalContext) -> ComparisonReport:
     notes = [f"corrected-form pass tolerance 10^-{ctx.digits - 10};"
              f" misprint detection threshold {float(ERRATA_DETECTION_THRESHOLD)}"]
     for entry, case in zip(misprinted, verify_tables(misprinted, ctx).cases):
-        cases.append(replace(case, passed=bool(case.abs_diff > threshold)))
+        detected = bool(case.abs_diff > threshold)
+        cases.append(
+            CaseResult(case.argument, case.formula_a, case.formula_b, case.abs_diff, detected)
+        )
         notes.append(f"measured gap for {entry.label}: {mpmath.nstr(case.abs_diff, 6)}")
     return ComparisonReport(
         title="Jensen (1915) p.147 errata check",

@@ -93,16 +93,20 @@ def test_cli_calls_through_bench_bindings(capsys):
 
 # the psiq submodules that import psiq alone loads; whether psiq.__all__ is
 # listed by dir() before any lazy name is loaded; then, after each command,
-# the modules that are loaded; last, whether loading the verification names
-# kept a binding set on one of them beforehand
+# the modules that are loaded, and which of dataclasses, inspect and json
+# were loaded after the first line (the interpreter's site may load one of
+# them before it, and the script imports json only at its end); last, whether
+# loading the verification names kept a binding set on one of them beforehand
 COLD_START = """
-import contextlib, io, json, sys
+import sys; start = set(sys.modules)
+import contextlib, io
 import psiq
 
 found = {"package": sorted(m for m in sys.modules if m.startswith("psiq."))}
 from psiq.cli import run
 
 heavy = ("mpmath", "psiq.numerics", "psiq.expressions", "psiq.verification")
+costly = ("dataclasses", "inspect", "json")
 found["dir"] = set(psiq.__all__) <= set(dir(psiq))
 found["import"] = [m for m in heavy if m in sys.modules]
 psiq.errata_jensen = psiq.cli.errata_jensen = kept = object()
@@ -114,8 +118,10 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(argv) == 0
     found[argv[0]] = [m for m in heavy if m in sys.modules]
+    found[argv[0] + " added"] = [m for m in costly if m in set(sys.modules) - start]
 psiq.compare_formulas
 found["kept"] = psiq.errata_jensen is kept and psiq.cli.errata_jensen is kept
+import json
 print(json.dumps(found))
 """
 
@@ -130,6 +136,11 @@ def test_subcommands_load_only_what_they_use():
     assert found["exact"] == []
     assert found["eval"] == ["mpmath", "psiq.numerics"]
     assert "psiq.verification" in found["compare"]
+    # exact and eval in text format load no json, and no command loads
+    # dataclasses or inspect
+    assert found["exact added"] == []
+    assert found["eval added"] == []
+    assert not {"dataclasses", "inspect"} & set(found["compare added"])
     assert found["kept"]
 
 

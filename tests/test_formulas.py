@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,13 @@ class TestPreconditions:
                 assert fn(p, q) == ClosedForm.build(shifted)
             return
         with pytest.raises(ValueError):
+            fn(p, q)
+
+    @pytest.mark.parametrize("fn", [murty_saradha, gauss_1813, nielsen, gr_variant])
+    @pytest.mark.parametrize("p,q", [(True, 3), (1, True), (False, 3), (2, 3.0), (Fraction(1), 3)])
+    def test_non_int_pairs_rejected_naming_the_value(self, fn, p, q):
+        # a bool is an int to isinstance, but True/3 is not an argument
+        with pytest.raises(ValueError, match=re.escape(f"p={p!r}, q={q!r}")):
             fn(p, q)
 
 
