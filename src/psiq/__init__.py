@@ -106,7 +106,8 @@ class _Record:
     and copy by calling the class with their fields.  A subclass names
     defaults for its trailing fields in ``_defaults`` and may check its
     fields in ``_check()``; one that is built in bulk defines its own
-    ``__init__`` and sets its slots with ``object.__setattr__``.
+    ``__init__`` and sets each slot through the class's slot descriptor,
+    ``Cls.field.__set__(self, value)``, the cheapest way past ``__setattr__``.
     """
 
     __slots__ = ()

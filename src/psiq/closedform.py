@@ -47,6 +47,7 @@ __all__ = [
     "log_prime",
     "log_sin",
     "pi_cot",
+    "prime_exponents",
     "render",
 ]
 
@@ -106,9 +107,9 @@ class CosineCombination(_Record):
                 raise ValueError("zero cosine coefficient stored")
         if common != 1:
             raise ValueError(f"non-minimal cosine denominator {q}")
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "cosines", cosines)
+        CosineCombination.rational.__set__(self, rational)
+        CosineCombination.denominator.__set__(self, denominator)
+        CosineCombination.cosines.__set__(self, cosines)
 
     @classmethod
     def from_rational(cls, value: Scalar) -> "CosineCombination":
@@ -223,8 +224,8 @@ class BasisTerm(_Record):
                 raise ValueError(f"log_prime requires a prime, got {arg!r}")
         elif kind not in ("unit", "gamma") or arg is not None:
             raise ValueError(f"unknown basis term {kind!r} with argument {arg!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "arg", arg)
+        BasisTerm.kind.__set__(self, kind)
+        BasisTerm.arg.__set__(self, arg)
 
     def sort_key(self) -> tuple:
         if self.kind in ("picot", "logsin"):
@@ -262,18 +263,22 @@ def log_prime(p: int) -> BasisTerm:
     return BasisTerm("logprime", p)
 
 
-def factor_log_integer(n: int) -> dict[BasisTerm, Fraction]:
-    """Decompose ln n (n >= 1) over prime logarithms: {ln p: multiplicity}.
-    Trial division yields only primes."""
+def prime_exponents(n: int) -> dict[int, int]:
+    """The prime factorization of an int n >= 1 as {p: exponent}, in
+    ascending p.  Trial division yields only primes."""
     if n < 1:
         raise ValueError("logarithm of a non-positive integer")
-    out: dict[BasisTerm, Fraction] = {}
+    out: dict[int, int] = {}
     while n > 1:
         f = _least_factor(n)
-        term = BasisTerm("logprime", f)
-        out[term] = out.get(term, Fraction(0)) + 1
+        out[f] = out.get(f, 0) + 1
         n //= f
     return out
+
+
+def factor_log_integer(n: int) -> dict[BasisTerm, Fraction]:
+    """Decompose ln n (n >= 1) over prime logarithms: {ln p: multiplicity}."""
+    return {BasisTerm("logprime", p): Fraction(e) for p, e in prime_exponents(n).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .closedform import (
     BasisTerm,
     ClosedForm,
     CosineCombination,
-    factor_log_integer,
     pi_cot,
+    prime_exponents,
 )
 from .rationals import PoleError, shift_decompose
 
@@ -48,20 +48,10 @@ def _check_pq(p: int, q: int) -> None:
 
 
 _ZERO = Fraction(0)  # the rational part of every single-cosine combination
-
-
-def _combination(acc: dict[int, int], q: int) -> CosineCombination:
-    """Freeze {k: c} (k = 0 the rational part) as sum_k c*cos(2 pi k/q)."""
-    return CosineCombination.from_numerators(Fraction(acc.pop(0, 0)), q, acc)
-
-
-def _cosine(k: int, w: int, q: int) -> CosineCombination:
-    """w*cos(2 pi k/q) for a folded k (k = 0 the rational part), over the
-    reduced denominator."""
-    if k == 0:
-        return CosineCombination(Fraction(w))
-    common = math.gcd(k, q)
-    return CosineCombination(_ZERO, q // common, ((k // common, w),))
+_MINUS_GAMMA = CosineCombination(Fraction(-1))
+# -(1/2) cot(pi p/q) folded into (0, 1/2]: indexed by 2p > q
+_HALF_COT = (CosineCombination(Fraction(-1, 2)), CosineCombination(Fraction(1, 2)))
+_LN2 = BasisTerm("logprime", 2)
 
 
 def _theorem_form(p: int, q: int, ln2_mass: bool, upper: int) -> ClosedForm:
@@ -71,37 +61,46 @@ def _theorem_form(p: int, q: int, ln2_mass: bool, upper: int) -> ClosedForm:
 
     Linear time over integers: each cosine folds k = p*j mod q into [0, q/2]
     the way ``from_cos`` does, and the ln 2 mass is an integer map keyed by k.
-    Each ln sin(pi j/q) comes once and in canonical order (j = q/2 gives
-    ln sin(pi/2) = 0), and the cotangent angle is folded into (0, 1/2], so the
-    form is frozen without ``ClosedForm.build``.
+    Since gcd(p, q) = 1, k is 0 or q/2 only at j = 0 or q/2, so each ln sin
+    with j < q/2 gets the single cosine 2 cos(2 pi k/q), 0 < 2k < q, built
+    directly over its reduced denominator.  Each ln sin(pi j/q) comes once and
+    in canonical order (j = q/2 gives ln sin(pi/2) = 0), ln q or ln 2q is
+    factored in ints, and the cotangent angle is folded into (0, 1/2], so the
+    form is frozen without ``ClosedForm.build``; only the ln 2 coefficient
+    can cancel to zero.
     """
     _check_pq(p, q)
-    log_arg = q if ln2_mass else 2 * q
-    logs = {term.arg: {0: -exponent} for term, exponent in factor_log_integer(log_arg).items()}
-    ln2 = logs.setdefault(2, {})  # receives the sum's mass if ln2_mass
+    exponents = prime_exponents(q if ln2_mass else 2 * q)
+    gcd = math.gcd
+    ln2: dict[int, int] = {}  # receives the sum's mass if ln2_mass
     log_sins = []
+    append = log_sins.append
     for j in range(1, upper + 1):
         k = p * j % q
         if 2 * k > q:
             k = q - k
         if 4 * k == q:
             continue  # cos(pi/2) = 0
-        w = 1 if 2 * j == q else 2
-        if 2 * k == q:
-            k, w = 0, -w  # cos(pi) = -1; k = 0 is the rational part
         if 2 * j != q:
-            g = math.gcd(j, q)
-            log_sins.append((BasisTerm("logsin", (j // g, q // g)), _cosine(k, w, q)))
-        if ln2_mass:
-            ln2[k] = ln2.get(k, 0) + w
-    coefficients = [(GAMMA, CosineCombination(Fraction(-1)))]
+            g, common = gcd(j, q), gcd(k, q)
+            cosine = CosineCombination(_ZERO, q // common, ((k // common, 2),))
+            append((BasisTerm("logsin", (j // g, q // g)), cosine))
+            if ln2_mass:
+                ln2[k] = ln2.get(k, 0) + 2
+        elif ln2_mass:
+            ln2[0] = ln2.get(0, 0) - 1  # weight 1 times cos(pi) = -1, in the rational part
+    coefficients = [(GAMMA, _MINUS_GAMMA)]
     if 2 * p != q:  # cot(pi/2) = 0; cot(pi (1 - x)) = -cot(pi x)
-        cot = CosineCombination(Fraction(1 if 2 * p > q else -1, 2))
-        coefficients.append((BasisTerm("picot", (min(p, q - p), q)), cot))
-    for prime, acc in sorted(logs.items()):
-        coefficients.append((BasisTerm("logprime", prime), _combination(acc, q)))
+        coefficients.append((BasisTerm("picot", (min(p, q - p), q)), _HALF_COT[2 * p > q]))
+    if ln2_mass:
+        rational = Fraction(ln2.pop(0, 0) - exponents.pop(2, 0))
+        ln2_coefficient = CosineCombination.from_numerators(rational, q, ln2)
+        if not ln2_coefficient.is_zero:
+            coefficients.append((_LN2, ln2_coefficient))
+    for prime, exponent in exponents.items():
+        coefficients.append((BasisTerm("logprime", prime), CosineCombination(Fraction(-exponent))))
     coefficients += log_sins
-    return ClosedForm(tuple((term, c) for term, c in coefficients if not c.is_zero))
+    return ClosedForm(tuple(coefficients))
 
 
 def murty_saradha(p: int, q: int) -> ClosedForm:

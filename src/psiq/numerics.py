@@ -191,8 +191,9 @@ class _SineTable:
     """sin(pi*j/q) and ln sin(pi*j/q), 0 < j <= q/2, as integers scaled by 2^prec.
 
     The table's unit is a block of 64 consecutive j.  A block's sines and
-    their logs are filled and stored together, the first time any slot of
-    the block is read.  The block's first sine comes from libmp's cos/sin
+    their logs are filled and stored together by :meth:`_block`, the first
+    time any slot of the block is read; the accessors read a stored block
+    from the dict directly.  The block's first sine comes from libmp's cos/sin
     at an explicit precision, the rest from rotating it by pi/q in fixed
     point at prec + 16 bits.  Each rotation adds at most 3 units of
     2^-(prec+16) to the error, so a block ends within 3*64 of those units,
@@ -224,14 +225,11 @@ class _SineTable:
         self._blocks: dict[int, tuple[list[int], list[int]]] = {}
 
     def _block(self, b: int) -> tuple[list[int], list[int]]:
-        block = self._blocks.get(b)
-        if block is None:
-            sines = self._fill(b)
-            logs = [0, *(self._log(s, self.prec) for s in sines[1:_DIRECT])] if b == 0 else []
-            if len(sines) > len(logs):
-                logs += self._chain(sines[len(logs) :])
-            block = self._blocks.setdefault(b, (sines, logs))
-        return block
+        sines = self._fill(b)
+        logs = [0, *(self._log(s, self.prec) for s in sines[1:_DIRECT])] if b == 0 else []
+        if len(sines) > len(logs):
+            logs += self._chain(sines[len(logs) :])
+        return self._blocks.setdefault(b, (sines, logs))
 
     def _fill(self, b: int) -> list[int]:
         wide = self.prec + 16
@@ -246,12 +244,14 @@ class _SineTable:
 
     def sin(self, j: int) -> int:
         b, i = divmod(j, _BLOCK)
-        return self._block(b)[0][i]
+        return (self._blocks.get(b) or self._block(b))[0][i]
 
     def cos2(self, k: int) -> int:
         """cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q), 0 <= k <= q/2, within 3*2^-prec."""
-        s = self.sin(k)
-        return (1 << self.prec) - ((s * s + (1 << (self.prec - 2))) >> (self.prec - 1))
+        b, i = divmod(k, _BLOCK)
+        s = (self._blocks.get(b) or self._block(b))[0][i]
+        prec = self.prec
+        return (1 << prec) - ((s * s + (1 << (prec - 2))) >> (prec - 1))
 
     def _log(self, s: int, prec: int) -> int:
         """ln(s*2^-self.prec) scaled by 2^prec and rounded down, within
@@ -262,7 +262,7 @@ class _SineTable:
 
     def log_sin(self, j: int) -> int:
         b, i = divmod(j, _BLOCK)
-        return self._block(b)[1][i]
+        return (self._blocks.get(b) or self._block(b))[1][i]
 
     def _chain(self, sines: list[int]) -> list[int]:
         """ln of consecutive stored sines of one block, from a slot j >= 32
@@ -290,13 +290,15 @@ class _SineTable:
         n = -(-wide // (2 * e))
         drop = 2 * (e - 1)
         top, *rest = [(1 << (wide - drop * k)) // (2 * k + 1) for k in range(n - 1, -1, -1)]
+        level, last, half = wide - drop, wide - 1, 1 << 15
+        append = logs.append
         for x in xs:
             x2 = (x * x) >> wide
             h = top
             for c in rest:
-                h = c + ((h * x2) >> (wide - drop))
-            value += (x * h) >> (wide - 1)
-            logs.append((value + (1 << 15)) >> 16)
+                h = c + ((h * x2) >> level)
+            value += (x * h) >> last
+            append((value + half) >> 16)
         return logs
 
 
@@ -386,20 +388,27 @@ def _fixed_sum(
     work = libmp.dps_to_prec(ctx.workdps)
     prec = work + _EXTRA_BITS
     one = 1 << prec
-    table = _values.get((prec, q), q // 2 + 1, lambda: _SineTable(q, prec)) if q > 1 else None
+    if q > 1:
+        table = _values.get((prec, q), q // 2 + 1, lambda: _SineTable(q, prec))
+        cos2, log_sin = table.cos2, table.log_sin
     total = 0
     for term, coeff in pairs:
-        c = _scaled(coeff.rational, one)
-        lift = q // coeff.denominator
-        for k, weight in coeff.cosines:
-            c += _scaled(weight, table.cos2(k * lift))
+        r = coeff.rational
+        c = r.numerator * one if r.denominator == 1 else _scaled(r, one)
+        if coeff.cosines:
+            lift = q // coeff.denominator
+            for k, weight in coeff.cosines:
+                if type(weight) is int:
+                    c += weight * cos2(k * lift)
+                else:
+                    c += _scaled(weight, cos2(k * lift))
         kind = term.kind
-        if kind == "unit":
-            basis = one
-        elif kind == "logsin":
+        if kind == "logsin":
             m, d = term.arg
             j = m * (q // d)
-            basis = table.log_sin(min(j, q - j))
+            basis = log_sin(q - j if 2 * j > q else j)
+        elif kind == "unit":
+            basis = one
         elif kind == "gamma":
             basis = libmp.to_fixed(const_gamma(ctx)._mpf_, prec)
         else:

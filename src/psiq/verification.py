@@ -64,17 +64,29 @@ class TableEntry(_Record):
     source: str
 
 
-def diff_text(diff: BigReal, digits: int) -> str:
+def _noise_floor(digits: int) -> mpmath.mpf:
+    return mpmath.mpf(10) ** -(digits + 5)
+
+
+def diff_text(diff: BigReal, digits: int, floor: mpmath.mpf | None = None) -> str:
     """|diff| to 6 significant digits for a report at ``digits`` digits.
 
     Values are evaluated at digits + guard working digits, so two equal
     quantities may differ by rounding noise far below the reported digits;
     any difference below 10^-(digits+5) prints as 0.0, so the text does not
-    change with the summation order.
+    change with the summation order.  A report passes that ``floor``, computed
+    once for all its cases.
     """
-    if diff < mpmath.mpf(10) ** -(digits + 5):
+    if diff < (_noise_floor(digits) if floor is None else floor):
         return "0.0"
     return mpmath.nstr(diff, 6)
+
+
+def _portable(diff: BigReal) -> mpmath.mpf:
+    """diff as an mpf of mpmath's global context, bit for bit, so that a
+    report pickles: the classes of the per-precision contexts do not, and
+    mpmath.mpf(diff) would round to the global precision."""
+    return mpmath.mp.make_mpf(diff._mpf_)
 
 
 class CaseResult(_Record):
@@ -85,12 +97,12 @@ class CaseResult(_Record):
     abs_diff: BigReal
     passed: bool
 
-    def to_json_dict(self, digits: int) -> dict:
+    def to_json_dict(self, digits: int, floor: mpmath.mpf | None = None) -> dict:
         return {
             "argument": self.argument,
             "formulaA": self.formula_a,
             "formulaB": self.formula_b,
-            "absDiff": diff_text(self.abs_diff, digits),
+            "absDiff": diff_text(self.abs_diff, digits, floor),
             "pass": self.passed,
         }
 
@@ -122,16 +134,17 @@ class ComparisonReport(_Record):
         return len({case.argument for case in self.cases})
 
     def to_text(self) -> str:
+        floor = _noise_floor(self.digits)
         lines = [f"{self.title} (digits={self.digits})"]
         for case in self.cases:
             status = "PASS" if case.passed else "FAIL"
             lines.append(
                 f"  {status}  {case.argument:>8}  {case.formula_a} vs {case.formula_b}"
-                f"  |diff| = {diff_text(case.abs_diff, self.digits)}"
+                f"  |diff| = {diff_text(case.abs_diff, self.digits, floor)}"
             )
         lines.append(
             f"  summary: {len(self.cases)} cases over {self.argument_count} arguments,"
-            f" max |diff| = {diff_text(self.max_abs_diff, self.digits)},"
+            f" max |diff| = {diff_text(self.max_abs_diff, self.digits, floor)},"
             f" {'all pass' if self.all_pass else 'FAILURES PRESENT'}"
         )
         for note in self.notes:
@@ -139,14 +152,15 @@ class ComparisonReport(_Record):
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
+        floor = _noise_floor(self.digits)
         return {
             "title": self.title,
             "digits": self.digits,
-            "cases": [case.to_json_dict(self.digits) for case in self.cases],
+            "cases": [case.to_json_dict(self.digits, floor) for case in self.cases],
             "summary": {
                 "caseCount": len(self.cases),
                 "argumentCount": self.argument_count,
-                "maxAbsDiff": diff_text(self.max_abs_diff, self.digits),
+                "maxAbsDiff": diff_text(self.max_abs_diff, self.digits, floor),
                 "allPass": self.all_pass,
             },
             "notes": list(self.notes),
@@ -243,7 +257,7 @@ def verify_tables(entries: list[TableEntry], ctx: EvalContext) -> ComparisonRepo
                 argument=str(entry.argument),
                 formula_a="psi-closed-form",
                 formula_b=f"corpus:{entry.label}",
-                abs_diff=diff,
+                abs_diff=_portable(diff),
                 passed=bool(diff < tolerance),
             )
         )
@@ -273,7 +287,9 @@ def _pairwise_cases(
         values = [(name, eval_closed_form(build(p, q), ctx)) for name, build in builders]
         for (name_a, a), (name_b, b) in itertools.combinations(values, 2):
             diff = abs(a - b)
-            cases.append(CaseResult(f"{p}/{q}", name_a, name_b, diff, bool(diff < tolerance)))
+            cases.append(
+                CaseResult(f"{p}/{q}", name_a, name_b, _portable(diff), bool(diff < tolerance))
+            )
     return tuple(cases)
 
 

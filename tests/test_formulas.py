@@ -49,13 +49,26 @@ def coprime_pairs(qmax):
 
 # The four constructions accumulated term by term through CosineCombination
 # addition, the reference for the linear-time builder in ``psiq.formulas``.
+# Each term's summands are added pairwise, level by level, so the ln 2
+# coefficient of the Gauss and Nielsen forms, about q/2 cosines, costs
+# O(q log q) additions' work rather than O(q^2).
 
 def _add(acc, term, coeff):
-    acc[term] = acc.get(term, CosineCombination()) + coeff
+    acc.setdefault(term, []).append(coeff)
+
+
+def _freeze(acc):
+    sums = {}
+    for term, parts in acc.items():
+        while len(parts) > 1:
+            pairs = [a + b for a, b in zip(parts[::2], parts[1::2])]
+            parts = pairs + parts[2 * len(pairs) :]
+        sums[term] = parts[0]
+    return ClosedForm.build(sums)
 
 
 def _reference_head(log_arg, p, q):
-    acc = {GAMMA: CosineCombination.from_rational(-1)}
+    acc = {GAMMA: [CosineCombination.from_rational(-1)]}
     for term, exponent in factor_log_integer(log_arg).items():
         _add(acc, term, CosineCombination.from_rational(-exponent))
     _add(acc, pi_cot(Fraction(p, q)), CosineCombination.from_rational(Fraction(-1, 2)))
@@ -66,7 +79,7 @@ def reference_murty_saradha(p, q, upper=None):
     acc = _reference_head(2 * q, p, q)
     for j in range(1, (q // 2 if upper is None else upper) + 1):
         _add(acc, log_sin(Fraction(j, q)), CosineCombination.from_cos(Fraction(p * j, q), 2))
-    return ClosedForm.build(acc)
+    return _freeze(acc)
 
 
 def reference_gr_variant(p, q):
@@ -80,7 +93,7 @@ def reference_gauss_1813(p, q):
         doubled = CosineCombination.from_cos(Fraction(p * j, q), 1 if 2 * j == q else 2)
         _add(acc, log_prime(2), doubled)
         _add(acc, log_sin(Fraction(j, q)), doubled)
-    return ClosedForm.build(acc)
+    return _freeze(acc)
 
 
 def reference_nielsen(p, q):
@@ -89,7 +102,7 @@ def reference_nielsen(p, q):
         coeff = CosineCombination.from_cos(Fraction(p * j, q), 1)
         _add(acc, log_prime(2), coeff)
         _add(acc, log_sin(Fraction(j, q)), coeff)
-    return ClosedForm.build(acc)
+    return _freeze(acc)
 
 
 REFERENCES = [
@@ -188,8 +201,9 @@ class TestBuilderMatchesReference:
 
     @pytest.mark.parametrize("q", [2999, 3000, 3001])
     def test_large_prime_denominators(self, q):
-        # the Gauss and Nielsen references are quadratic in q (seconds each
-        # at q = 3000), so those two are held to the recorded renders only
+        # the Gauss and Nielsen references take about 0.5 s per p at q = 3000,
+        # so here those two are held to the recorded renders only; the
+        # composite-q test below compares them with their references
         pairs = [(murty_saradha, reference_murty_saradha), (gr_variant, reference_gr_variant)]
         for p in (1, 2, 7, 1000, q // 2, q - 1):
             if math.gcd(p, q) != 1:
@@ -205,6 +219,19 @@ class TestBuilderMatchesReference:
                 form = fn(p, q)
                 digest.update(f"{render(form)}\n{render(form, 'latex')}\n".encode())
         assert digest.hexdigest() == self.LARGE_RENDER_DIGESTS[q]
+
+    @pytest.mark.parametrize("q", [2048, 2310, 3150])
+    def test_large_composite_denominators(self, q):
+        # repeated primes in ln 2q (2^12, 2^2*3*5*7*11, 2^2*3^2*5^2*7), ln sin
+        # angles j/q reduced by gcd(j, q) > 1, and the quarter turn 4k = q
+        # at q = 2048; p = 7 shares a factor with 2310 and 3150, so the least
+        # p >= 7 coprime to q stands in, as one near q/2 does
+        p7, middle = (next(p for p in range(lo, q) if math.gcd(p, q) == 1) for lo in (7, q // 2))
+        for p in (1, p7, middle, q - 1):
+            for fn, reference in REFERENCES:
+                form, expected = fn(p, q), reference(p, q)
+                assert form == expected, (fn.__name__, p, q)
+                assert render(form) == render(expected), (fn.__name__, p, q)
 
 
 class TestMurtySaradha:

@@ -22,8 +22,16 @@ from psiq import (
     oracle_psi_series,
     psi_closed,
 )
-from psiq.closedform import ClosedForm, CosineCombination, log_sin, pi_cot
-from psiq.formulas import gauss_1813, gr_variant, murty_saradha, nielsen
+from psiq.closedform import (
+    GAMMA,
+    UNIT,
+    ClosedForm,
+    CosineCombination,
+    log_prime,
+    log_sin,
+    pi_cot,
+)
+from psiq.formulas import gauss_1813, gr_variant, murty_saradha, nielsen, reflect
 from psiq.numerics import comparison_tolerance, eval_cosine_combination
 from psiq.rationals import PoleError, upward_sum
 
@@ -350,6 +358,95 @@ class TestPinnedValues:
     def test_working_precision_values(self, values):
         # repr shows every bit of the value rounded to the working precision
         assert self.digest(repr(value) for value in values) == self.REPR_DIGEST
+
+
+def reference_fixed_sum(form: ClosedForm, ctx: EvalContext):
+    """The fixed-point evaluator as it was before its loop was specialised:
+    every rational and cosine weight goes through ``_scaled``, every cosine
+    through ``cos2`` and every ln sin through ``log_sin`` of the same cached
+    table, and the exact sum is rounded once."""
+    q = 1
+    for term, coeff in form.coefficients:
+        q = math.lcm(q, term.arg[1] if term.kind == "logsin" else 1, coeff.denominator)
+    work = mpmath.libmp.dps_to_prec(ctx.workdps)
+    prec = work + numerics._EXTRA_BITS
+    one = 1 << prec
+    table = (
+        numerics._values.get((prec, q), q // 2 + 1, lambda: numerics._SineTable(q, prec))
+        if q > 1
+        else None
+    )
+    total = 0
+    for term, coeff in form.coefficients:
+        c = numerics._scaled(coeff.rational, one)
+        lift = q // coeff.denominator
+        for k, weight in coeff.cosines:
+            c += numerics._scaled(weight, table.cos2(k * lift))
+        if term.kind == "unit":
+            basis = one
+        elif term.kind == "logsin":
+            m, d = term.arg
+            j = m * (q // d)
+            basis = table.log_sin(min(j, q - j))
+        elif term.kind == "gamma":
+            basis = mpmath.libmp.to_fixed(const_gamma(ctx)._mpf_, prec)
+        else:
+            basis = mpmath.libmp.to_fixed(numerics._basis_value(term, ctx.workdps), prec)
+        total += c * basis
+    rounded = mpmath.libmp.from_man_exp(total, -2 * prec, work, mpmath.libmp.round_nearest)
+    return ctx.mp.make_mpf(rounded)
+
+
+class TestBitIdenticalToReference:
+    """eval_closed_form gives every bit of the reference evaluator."""
+
+    @staticmethod
+    def assert_identical(forms, ctx):
+        for label, form in forms:
+            value = eval_closed_form(form, ctx)
+            assert value._mpf_ == reference_fixed_sum(form, ctx)._mpf_, label
+
+    def test_every_construction_to_q40(self, ctx50):
+        forms = [
+            ((fn.__name__, p, q), fn(p, q))
+            for p, q in coprime_pairs(40)
+            for fn in (murty_saradha, gauss_1813, nielsen, gr_variant)
+        ]
+        self.assert_identical(forms, ctx50)
+
+    def test_shifted_and_reflected_to_q40(self, ctx50):
+        arguments = [Fraction(p, q) for p, q in coprime_pairs(40)]
+        forms = [(x + n, psi_closed(x + n)) for x in arguments for n in (-3, 3)]
+        forms += [(1 - x, reflect(psi_closed(x), x)) for x in arguments]
+        self.assert_identical(forms, ctx50)
+
+    def test_built_forms_with_other_weights_and_rationals(self, ctx50):
+        weighted = CosineCombination.from_cos(Fraction(3, 5), Fraction(7, 3))
+        ninth = CosineCombination.from_rational(Fraction(-1, 9))
+        eighth = Fraction(1, 8)
+        forms = [
+            ClosedForm.build({log_sin(Fraction(2, 7)): weighted + ninth}),
+            ClosedForm.build(
+                {
+                    UNIT: Fraction(1, 3),
+                    GAMMA: Fraction(-5, 7),
+                    pi_cot(Fraction(5, 12)): Fraction(3, 4),
+                    log_prime(3): CosineCombination.from_cos(eighth, Fraction(-2, 5)),
+                    log_sin(Fraction(1, 6)): weighted + CosineCombination.from_cos(eighth, 3),
+                }
+            ),
+            ClosedForm.build({UNIT: weighted}),
+            # int weights other than the theorem forms' 2, and a rational 1/2
+            ClosedForm.build(
+                {log_sin(Fraction(1, 6)): CosineCombination(Fraction(1, 2), 5, ((1, 3), (2, -1)))}
+            ),
+        ]
+        self.assert_identical(list(enumerate(forms)), ctx50)
+
+    @pytest.mark.parametrize("digits", [15, 50, 479])
+    def test_pinned_arguments(self, digits):
+        forms = [(arg, psi_closed(Fraction(arg))) for arg in TestPinnedValues.ARGUMENTS]
+        self.assert_identical(forms, EvalContext(digits))
 
 
 class TestValueCache:

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import mpmath
 import pytest
@@ -228,3 +229,35 @@ class TestErrataJensen:
         for case in misprinted:
             # the misprint changes the value by a fixed constant near 0.1988
             assert mpmath.mpf("0.19") < case.abs_diff < mpmath.mpf("0.21")
+
+
+class TestReportsPickle:
+    """A report of a real run pickles, and its differences keep every bit."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, corpus, ctx30):
+        return [
+            compare_formulas(4, ctx30),
+            errata_gr(4, ctx30),
+            errata_jensen(ctx30),
+            verify_tables(corpus, ctx30),
+        ]
+
+    def test_round_trip(self, reports):
+        for report in reports:
+            copy = pickle.loads(pickle.dumps(report))
+            assert copy.to_json() == report.to_json(), report.title
+            assert copy.to_text() == report.to_text(), report.title
+            diffs = [case.abs_diff._mpf_ for case in copy.cases]
+            assert diffs == [case.abs_diff._mpf_ for case in report.cases], report.title
+
+    def test_stored_difference_is_the_evaluated_one(self, corpus, ctx30):
+        # a misprinted Jensen form differs by about 0.2, a value of about 150
+        # bits, which an mpf of the global 53-bit context would round
+        entries = [*corpus, *load_corpus(bundled_errata_path())]
+        cases = verify_tables(entries, ctx30).cases
+        assert max(case.abs_diff._mpf_[3] for case in cases) > 140
+        for entry, case in zip(entries, cases):
+            ours = eval_closed_form(psi_closed(entry.argument), ctx30)
+            diff = abs(ours - eval_const_expr(entry.expr, ctx30))
+            assert case.abs_diff._mpf_ == diff._mpf_, entry.label
