@@ -24,11 +24,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import _load
-from .closedform import MIN_DIGITS, ClosedForm, render
+from .closedform import MIN_DIGITS, render
 from .formulas import psi_closed
 from .rationals import PoleError, parse_rational
 
@@ -74,75 +73,68 @@ def _bounded_int(minimum: int, name: str, noun: str) -> Callable[[str], int]:
     return parse
 
 
-def _print_report(report: ComparisonReport, fmt: str) -> None:
-    if fmt == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
-
-
-def _cmd_exact(r: Fraction, form: ClosedForm, fmt: str) -> int:
+def _print_reports(fmt: str, *reports: ComparisonReport) -> int:
+    """Print the reports to stdout; the exit code is 0 only when all pass."""
     if fmt == "json":
         import json  # only JSON output loads json
+
+        dicts = [report.to_json_dict() for report in reports]
+        print(json.dumps(dicts[0] if len(dicts) == 1 else dicts, indent=2))
+    else:
+        for report in reports:
+            print(report.to_text())
+    return 0 if all(report.all_pass for report in reports) else 1
+
+
+def _cmd_exact(args: argparse.Namespace) -> int:
+    if args.format == "json":
+        import json
 
         print(
             json.dumps(
                 {
-                    "argument": str(r),
-                    "closedForm": render(form, "plain"),
-                    "latex": render(form, "latex"),
+                    "argument": str(args.rational),
+                    "closedForm": render(args.form, "plain"),
+                    "latex": render(args.form, "latex"),
                 }
             )
         )
-    elif fmt == "latex":
-        print(render(form, "latex"))
     else:
-        print(render(form, "plain"))
+        print(render(args.form, "latex" if args.format == "latex" else "plain"))
     return 0
 
 
-def _cmd_eval(r: Fraction, form: ClosedForm, digits: int, fmt: str) -> int:
-    ctx = _lazy.EvalContext(digits)
-    text = _lazy.format_decimal(_lazy.eval_closed_form(form, ctx), digits)
-    if fmt == "json":
+def _cmd_eval(args: argparse.Namespace) -> int:
+    ctx = _lazy.EvalContext(args.digits)
+    text = _lazy.format_decimal(_lazy.eval_closed_form(args.form, ctx), args.digits)
+    if args.format == "json":
         import json
 
-        print(json.dumps({"argument": str(r), "digits": digits, "value": text}))
+        print(json.dumps({"argument": str(args.rational), "digits": args.digits, "value": text}))
     else:
         print(text)
     return 0
 
 
-def _cmd_table_check(corpus: Optional[str], digits: int, fmt: str) -> int:
-    path = corpus if corpus is not None else _lazy.bundled_corpus_path()
+def _cmd_table_check(args: argparse.Namespace) -> int:
+    path = args.corpus if args.corpus is not None else _lazy.bundled_corpus_path()
     try:
         entries = _lazy.load_corpus(path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = _lazy.verify_tables(entries, _lazy.EvalContext(digits))
-    _print_report(report, fmt)
-    return 0 if report.all_pass else 1
+    ctx = _lazy.EvalContext(args.digits)
+    return _print_reports(args.format, _lazy.verify_tables(entries, ctx))
 
 
-def _cmd_compare(qmax: int, digits: int, fmt: str) -> int:
-    report = _lazy.compare_formulas(qmax, _lazy.EvalContext(digits))
-    _print_report(report, fmt)
-    return 0 if report.all_pass else 1
+def _cmd_compare(args: argparse.Namespace) -> int:
+    ctx = _lazy.EvalContext(args.digits)
+    return _print_reports(args.format, _lazy.compare_formulas(args.qmax, ctx))
 
 
-def _cmd_errata(qmax: int, digits: int, fmt: str) -> int:
-    ctx = _lazy.EvalContext(digits)
-    gr_report = _lazy.errata_gr(qmax, ctx)
-    jensen_report = _lazy.errata_jensen(ctx)
-    if fmt == "json":
-        import json
-
-        print(json.dumps([gr_report.to_json_dict(), jensen_report.to_json_dict()], indent=2))
-    else:
-        print(gr_report.to_text())
-        print(jensen_report.to_text())
-    return 0 if (gr_report.all_pass and jensen_report.all_pass) else 1
+def _cmd_errata(args: argparse.Namespace) -> int:
+    ctx = _lazy.EvalContext(args.digits)
+    return _print_reports(args.format, _lazy.errata_gr(args.qmax, ctx), _lazy.errata_jensen(ctx))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,16 +150,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact = sub.add_parser("exact", help="print the exact closed form of psi(p/q)")
     p_exact.add_argument("rational", help="the argument p/q, e.g. 1/2 or -7/3")
     p_exact.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    p_exact.set_defaults(run=_cmd_exact)
 
     p_eval = sub.add_parser("eval", help="evaluate psi(p/q) to D significant digits")
     p_eval.add_argument("rational", help="the argument p/q, e.g. 1/2 or -7/3")
     p_eval.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_table = sub.add_parser("table-check", help="verify the corpus of published values")
     p_table.add_argument("--corpus", default=None, help="corpus file (default: bundled)")
     p_table.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
     p_table.add_argument("--format", choices=("text", "json"), default="text")
+    p_table.set_defaults(run=_cmd_table_check)
 
     p_compare = sub.add_parser(
         "compare", help="cross-check the Gauss, Nielsen and Murty-Saradha forms"
@@ -175,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--qmax", type=qmax, default=DEFAULT_QMAX)
     p_compare.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
     p_compare.add_argument("--format", choices=("text", "json"), default="text")
+    p_compare.set_defaults(run=_cmd_compare)
 
     p_errata = sub.add_parser(
         "errata", help="measure published-formula discrepancies (GR 8.363(6), Jensen)"
@@ -182,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_errata.add_argument("--qmax", type=qmax, default=DEFAULT_QMAX)
     p_errata.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
     p_errata.add_argument("--format", choices=("text", "json"), default="text")
+    p_errata.set_defaults(run=_cmd_errata)
 
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = _NEGATIVE_NUMBER
@@ -210,28 +207,18 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    if args.command in ("exact", "eval"):
+    if "rational" in args:  # exact and eval: the text becomes a Fraction and its form
         try:
-            r = parse_rational(args.rational)
+            args.rational = parse_rational(args.rational)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         try:
-            form = psi_closed(r)
+            args.form = psi_closed(args.rational)
         except PoleError:
             print("digamma pole at non-positive integer", file=sys.stderr)
             return 3
-        if args.command == "exact":
-            return _cmd_exact(r, form, args.format)
-        return _cmd_eval(r, form, args.digits, args.format)
-    if args.command == "table-check":
-        return _cmd_table_check(args.corpus, args.digits, args.format)
-    if args.command == "compare":
-        return _cmd_compare(args.qmax, args.digits, args.format)
-    if args.command == "errata":
-        return _cmd_errata(args.qmax, args.digits, args.format)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.run(args)
 
 
 def main() -> None:

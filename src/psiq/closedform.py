@@ -43,7 +43,6 @@ __all__ = [
     "CosineCombination",
     "GAMMA",
     "UNIT",
-    "factor_log_integer",
     "log_prime",
     "log_sin",
     "pi_cot",
@@ -56,15 +55,16 @@ Scalar = Union[int, Fraction]
 MIN_DIGITS = 15  # fewest reported digits an evaluation of a form accepts
 
 
+def _check_exact(x: Scalar, what: str) -> None:
+    """Reject a number that is not exact: a float 0.1 would be read as a
+    binary fraction over 2^55.  A bool is rejected too."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
+
+
 def _as_fraction(x: Scalar) -> Fraction:
+    _check_exact(x, "a coefficient")
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _check_angle(angle: Scalar) -> None:
-    """Reject an angle that is not exact: a float 0.1 would be folded as a
-    binary fraction over 2^55."""
-    if isinstance(angle, bool) or not isinstance(angle, (int, Fraction)):
-        raise ValueError(f"an angle must be an int or a Fraction, got {angle!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ class CosineCombination(_Record):
     @classmethod
     def from_cos(cls, angle: Fraction, coeff: Scalar = 1) -> "CosineCombination":
         """The combination coeff*cos(2*pi*angle), angle folded canonically."""
-        _check_angle(angle)
+        _check_exact(angle, "an angle")
         c = _as_fraction(coeff)
         q = angle.denominator
         k = angle.numerator % q
@@ -240,7 +240,7 @@ GAMMA = BasisTerm("gamma")
 def _angle_term(kind: str, angle: Fraction, zero: str) -> BasisTerm:
     """The ``kind`` term of a rational angle reduced mod 1; an integer angle
     raises ValueError with the message ``zero.format(angle)``."""
-    _check_angle(angle)
+    _check_exact(angle, "an angle")
     q = angle.denominator
     if q == 1:
         raise ValueError(zero.format(angle))
@@ -274,11 +274,6 @@ def prime_exponents(n: int) -> dict[int, int]:
         out[f] = out.get(f, 0) + 1
         n //= f
     return out
-
-
-def factor_log_integer(n: int) -> dict[BasisTerm, Fraction]:
-    """Decompose ln n (n >= 1) over prime logarithms: {ln p: multiplicity}."""
-    return {BasisTerm("logprime", p): Fraction(e) for p, e in prime_exponents(n).items()}
 
 
 # ---------------------------------------------------------------------------

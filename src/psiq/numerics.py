@@ -138,14 +138,14 @@ def comparison_tolerance(ctx: EvalContext) -> BigReal:
 def const_pi(ctx: EvalContext) -> BigReal:
     """pi at the context's working precision."""
     dps = ctx.workdps
-    return ctx.mp.make_mpf(_values.get((dps, "pi"), 1, lambda: (+_mp_for(dps).pi)._mpf_))
+    return ctx.mp.make_mpf(_values.get((dps, "pi"), lambda: (+_mp_for(dps).pi)._mpf_))
 
 
 def const_gamma(ctx: EvalContext) -> BigReal:
     """The Euler constant, defined as -psi(1) via the asymptotic oracle, and
     so correctly rounded to the working precision."""
     value = _values.get(
-        (ctx.workdps, "gamma"), 1, lambda: (-oracle_psi_asymptotic(Fraction(1), ctx))._mpf_
+        (ctx.workdps, "gamma"), lambda: (-oracle_psi_asymptotic(Fraction(1), ctx))._mpf_
     )
     return ctx.mp.make_mpf(value)
 
@@ -307,7 +307,7 @@ class _ValueCache:
     context-free, so threads share them:
 
     * the sine table of a common denominator q at P bits, keyed (P, q), of
-      q//2 + 1 slots;
+      q//2 + 1 slots, which the table's ``slots`` holds;
     * pi, gamma, ln p and pi*cot(pi*m/q) as raw libmp values at the working
       precision, one slot each, keyed (workdps, "pi"), (workdps, "gamma"),
       (workdps, "logprime", p) and (workdps, "picot", m, q).
@@ -326,13 +326,14 @@ class _ValueCache:
         self.slots = 0
         self.misses = 0
 
-    def get(self, key: tuple, slots: int, compute: Callable[[], Any]) -> Any:
+    def get(self, key: tuple, compute: Callable[[], Any]) -> Any:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 return entry[0]
         value = compute()
+        slots = getattr(value, "slots", 1)
         with self._lock:
             self.misses += 1
             if slots <= _SLOT_BUDGET and key not in self._entries:
@@ -356,10 +357,10 @@ def _basis_value(term: BasisTerm, dps: int) -> tuple:
     m = _mp_for(dps)
     if term.kind == "logprime":
         p = term.arg
-        return _values.get((dps, "logprime", p), 1, lambda: m.log(p)._mpf_)
+        return _values.get((dps, "logprime", p), lambda: m.log(p)._mpf_)
     n, d = term.arg
     return _values.get(
-        (dps, "picot", n, d), 1, lambda: (m.pi * m.cot(m.pi * (m.mpf(n) / d)))._mpf_
+        (dps, "picot", n, d), lambda: (m.pi * m.cot(m.pi * (m.mpf(n) / d)))._mpf_
     )
 
 
@@ -389,7 +390,7 @@ def _fixed_sum(
     prec = work + _EXTRA_BITS
     one = 1 << prec
     if q > 1:
-        table = _values.get((prec, q), q // 2 + 1, lambda: _SineTable(q, prec))
+        table = _values.get((prec, q), lambda: _SineTable(q, prec))
         cos2, log_sin = table.cos2, table.log_sin
     total = 0
     for term, coeff in pairs:

@@ -10,6 +10,7 @@ never exceptions, and reports are deterministic for a fixed precision.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -65,19 +66,23 @@ class TableEntry(_Record):
 
 
 def _noise_floor(digits: int) -> mpmath.mpf:
-    return mpmath.mpf(10) ** -(digits + 5)
+    return _power_of_ten(-(digits + 5), mpmath.mp.prec)
 
 
-def diff_text(diff: BigReal, digits: int, floor: mpmath.mpf | None = None) -> str:
+@functools.lru_cache  # at most 128 entries, one per exponent and global precision
+def _power_of_ten(exponent: int, prec: int) -> mpmath.mpf:
+    return mpmath.mpf(10) ** exponent
+
+
+def diff_text(diff: BigReal, digits: int) -> str:
     """|diff| to 6 significant digits for a report at ``digits`` digits.
 
     Values are evaluated at digits + guard working digits, so two equal
     quantities may differ by rounding noise far below the reported digits;
     any difference below 10^-(digits+5) prints as 0.0, so the text does not
-    change with the summation order.  A report passes that ``floor``, computed
-    once for all its cases.
+    change with the summation order.  The floor is computed once per digits.
     """
-    if diff < (_noise_floor(digits) if floor is None else floor):
+    if diff < _noise_floor(digits):
         return "0.0"
     return mpmath.nstr(diff, 6)
 
@@ -97,12 +102,12 @@ class CaseResult(_Record):
     abs_diff: BigReal
     passed: bool
 
-    def to_json_dict(self, digits: int, floor: mpmath.mpf | None = None) -> dict:
+    def to_json_dict(self, digits: int) -> dict:
         return {
             "argument": self.argument,
             "formulaA": self.formula_a,
             "formulaB": self.formula_b,
-            "absDiff": diff_text(self.abs_diff, digits, floor),
+            "absDiff": diff_text(self.abs_diff, digits),
             "pass": self.passed,
         }
 
@@ -134,17 +139,16 @@ class ComparisonReport(_Record):
         return len({case.argument for case in self.cases})
 
     def to_text(self) -> str:
-        floor = _noise_floor(self.digits)
         lines = [f"{self.title} (digits={self.digits})"]
         for case in self.cases:
             status = "PASS" if case.passed else "FAIL"
             lines.append(
                 f"  {status}  {case.argument:>8}  {case.formula_a} vs {case.formula_b}"
-                f"  |diff| = {diff_text(case.abs_diff, self.digits, floor)}"
+                f"  |diff| = {diff_text(case.abs_diff, self.digits)}"
             )
         lines.append(
             f"  summary: {len(self.cases)} cases over {self.argument_count} arguments,"
-            f" max |diff| = {diff_text(self.max_abs_diff, self.digits, floor)},"
+            f" max |diff| = {diff_text(self.max_abs_diff, self.digits)},"
             f" {'all pass' if self.all_pass else 'FAILURES PRESENT'}"
         )
         for note in self.notes:
@@ -152,15 +156,14 @@ class ComparisonReport(_Record):
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        floor = _noise_floor(self.digits)
         return {
             "title": self.title,
             "digits": self.digits,
-            "cases": [case.to_json_dict(self.digits, floor) for case in self.cases],
+            "cases": [case.to_json_dict(self.digits) for case in self.cases],
             "summary": {
                 "caseCount": len(self.cases),
                 "argumentCount": self.argument_count,
-                "maxAbsDiff": diff_text(self.max_abs_diff, self.digits, floor),
+                "maxAbsDiff": diff_text(self.max_abs_diff, self.digits),
                 "allPass": self.all_pass,
             },
             "notes": list(self.notes),

@@ -1,11 +1,14 @@
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+import psiq.cli
 from psiq.cli import run
 from psiq.expressions import eval_const_expr, parse_const_expr
 from psiq.numerics import EvalContext
+from psiq.verification import CaseResult, ComparisonReport
 
 from conftest import reference_digamma
 
@@ -179,6 +182,42 @@ class TestErrata:
         reports = json.loads(out)
         assert len(reports) == 2
         assert all(rep["summary"]["allPass"] for rep in reports)
+
+
+class TestReportExitCodes:
+    """compare and errata exit 1 when any report they print has a failing
+    case, in text and JSON alike, and 0 when every report passes."""
+
+    @staticmethod
+    def stub(monkeypatch, name, passed):
+        case = CaseResult("1/3", "a", "b", mpmath.mpf(1), passed)
+        report = ComparisonReport(title=name, digits=30, cases=(case,))
+        monkeypatch.setattr(psiq.cli, name, lambda *args: report)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "gr,jensen,expected", [(True, True, 0), (False, True, 1), (True, False, 1)]
+    )
+    def test_errata(self, capsys, monkeypatch, fmt, gr, jensen, expected):
+        self.stub(monkeypatch, "errata_gr", gr)
+        self.stub(monkeypatch, "errata_jensen", jensen)
+        code, out, _ = invoke(capsys, "errata", "--format", fmt)
+        assert code == expected
+        if fmt == "json":
+            assert [r["summary"]["allPass"] for r in json.loads(out)] == [gr, jensen]
+        else:
+            assert out.count("FAILURES PRESENT") == 2 - gr - jensen
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("passed,expected", [(True, 0), (False, 1)])
+    def test_compare(self, capsys, monkeypatch, fmt, passed, expected):
+        self.stub(monkeypatch, "compare_formulas", passed)
+        code, out, _ = invoke(capsys, "compare", "--format", fmt)
+        assert code == expected
+        if fmt == "json":
+            assert json.loads(out)["summary"]["allPass"] is passed
+        else:
+            assert ("FAILURES PRESENT" in out) is not passed
 
 
 class TestUsage:

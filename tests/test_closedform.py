@@ -18,7 +18,7 @@ from psiq import (
     psi_closed,
     render,
 )
-from psiq.closedform import BasisTerm, factor_log_integer
+from psiq.closedform import BasisTerm, prime_exponents
 from psiq.numerics import comparison_tolerance, eval_cosine_combination
 
 from conftest import random_rationals
@@ -231,6 +231,20 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             CosineCombination.from_cos(angle)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ClosedForm.build({GAMMA: 0.1}),
+            lambda: CosineCombination.from_cos(Fraction(1, 3), True),
+            lambda: CosineCombination.from_rational(0.5),
+        ],
+        ids=["build-float", "from_cos-bool", "from_rational-float"],
+    )
+    def test_coefficients_must_be_exact_rationals(self, make):
+        # accepted, a float 0.1 would render as (3602879701896397/36028797018963968)*gamma
+        with pytest.raises(ValueError, match="a coefficient must be an int or a Fraction"):
+            make()
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=2, max_value=60).flatmap(
@@ -249,12 +263,11 @@ class TestCanonicalize:
             for term, _ in ClosedForm.build({kind(x + n): c}).coefficients:
                 assert 0 < 2 * term.arg[0] < term.arg[1]
 
-    def test_factor_log_integer(self):
-        twelve = factor_log_integer(12)
-        assert twelve == {log_prime(2): 2, log_prime(3): 1}
-        assert factor_log_integer(1) == {}
-        assert factor_log_integer(2 * 3001) == {log_prime(2): 1, log_prime(3001): 1}
-        assert factor_log_integer(3001**2) == {log_prime(3001): 2}
+    def test_prime_exponents(self):
+        assert prime_exponents(12) == {2: 2, 3: 1}
+        assert prime_exponents(1) == {}
+        assert prime_exponents(2 * 3001) == {2: 1, 3001: 1}
+        assert prime_exponents(3001**2) == {3001: 2}
 
 
 # ---------------------------------------------------------------------------

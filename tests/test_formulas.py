@@ -23,10 +23,10 @@ from psiq import (
 )
 from psiq.closedform import (
     CosineCombination,
-    factor_log_integer,
     log_prime,
     log_sin,
     pi_cot,
+    prime_exponents,
 )
 from psiq.numerics import comparison_tolerance
 from psiq.rationals import shift_decompose
@@ -69,8 +69,8 @@ def _freeze(acc):
 
 def _reference_head(log_arg, p, q):
     acc = {GAMMA: [CosineCombination.from_rational(-1)]}
-    for term, exponent in factor_log_integer(log_arg).items():
-        _add(acc, term, CosineCombination.from_rational(-exponent))
+    for prime, exponent in prime_exponents(log_arg).items():
+        _add(acc, log_prime(prime), CosineCombination.from_rational(-exponent))
     _add(acc, pi_cot(Fraction(p, q)), CosineCombination.from_rational(Fraction(-1, 2)))
     return acc
 
@@ -111,6 +111,28 @@ REFERENCES = [
     (nielsen, reference_nielsen),
     (gr_variant, reference_gr_variant),
 ]
+
+
+def _first_difference(form, expected):
+    """The first term at which two unequal forms differ, in one short line."""
+    for (term, coeff), (other, want) in zip(form.coefficients, expected.coefficients):
+        if term != other:
+            return f"term {term} where {other} is expected"
+        if coeff != want:
+            return f"the coefficient of {term}"
+    return f"{len(form.coefficients)} terms where {len(expected.coefficients)} are expected"
+
+
+def assert_same_form(label, form, expected, *formats):
+    """form == expected, and their renders in ``formats`` equal.  A mismatch
+    fails with one short line: pytest's report of a failed assert on forms or
+    renders of about 1,400 terms runs to hundreds of kilobytes, and its diff
+    of two such strings can take minutes."""
+    if form != expected:
+        pytest.fail(f"{label}: {_first_difference(form, expected)}")
+    for fmt in formats:
+        if render(form, fmt) != render(expected, fmt):
+            pytest.fail(f"{label}: the {fmt} renders differ")
 
 
 @pytest.fixture(scope="module")
@@ -165,9 +187,8 @@ class TestBuilderMatchesReference:
         for p, q in coprime_pairs(60):
             references = {}
             for fn, reference in REFERENCES:
-                form, expected = fn(p, q), reference(p, q)
-                assert form == expected, (fn.__name__, p, q)
-                assert render(form) == render(expected), (fn.__name__, p, q)
+                expected = reference(p, q)
+                assert_same_form(f"{fn.__name__}({p}, {q})", fn(p, q), expected, "plain")
                 references[reference] = expected
             # the two identities the half-sum builder relies on, proved
             # through the term-by-term references rather than the builder
@@ -209,10 +230,8 @@ class TestBuilderMatchesReference:
             if math.gcd(p, q) != 1:
                 continue
             for fn, reference in pairs:
-                form, expected = fn(p, q), reference(p, q)
-                assert form == expected, (fn.__name__, p, q)
-                assert render(form) == render(expected), (fn.__name__, p, q)
-                assert render(form, "latex") == render(expected, "latex"), (fn.__name__, p, q)
+                label = f"{fn.__name__}({p}, {q})"
+                assert_same_form(label, fn(p, q), reference(p, q), "plain", "latex")
         digest = hashlib.sha256()
         for fn, _ in REFERENCES:
             for p in (1, 7, q - 1):
@@ -229,9 +248,7 @@ class TestBuilderMatchesReference:
         p7, middle = (next(p for p in range(lo, q) if math.gcd(p, q) == 1) for lo in (7, q // 2))
         for p in (1, p7, middle, q - 1):
             for fn, reference in REFERENCES:
-                form, expected = fn(p, q), reference(p, q)
-                assert form == expected, (fn.__name__, p, q)
-                assert render(form) == render(expected), (fn.__name__, p, q)
+                assert_same_form(f"{fn.__name__}({p}, {q})", fn(p, q), reference(p, q), "plain")
 
 
 class TestMurtySaradha:

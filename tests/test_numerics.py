@@ -372,7 +372,7 @@ def reference_fixed_sum(form: ClosedForm, ctx: EvalContext):
     prec = work + numerics._EXTRA_BITS
     one = 1 << prec
     table = (
-        numerics._values.get((prec, q), q // 2 + 1, lambda: numerics._SineTable(q, prec))
+        numerics._values.get((prec, q), lambda: numerics._SineTable(q, prec))
         if q > 1
         else None
     )
