@@ -26,11 +26,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a new interpreter that imports psiq from src/."""
+    """Run ``python *args`` in a new interpreter that imports psiq from src/.
+
+    COLUMNS is fixed at 80, the width argparse wraps ``-h`` text to.
+    """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"),
         capture_output=True,
         check=False,
     )

@@ -3,7 +3,8 @@
 ``golden_cli.json`` holds the exit code and stdout of ``psiq eval`` (30 and
 479 digits) and ``psiq exact`` (text, JSON and LaTeX) over a fixed argument
 list, then of the sweeps ``compare`` and ``errata`` (q <= 12) and
-``table-check`` at 30 digits in text and JSON.  A change that must leave CLI
+``table-check`` at 30 digits in text and JSON, and last of ``-h`` for
+``psiq`` and each subcommand, wrapped to 80 columns.  A change that must leave CLI
 output untouched (a faster algorithm, a refactor, a deletion) is checked
 against it.  Regenerate the file only when an output change is intended, by
 running this module as a script::
@@ -44,6 +45,9 @@ def golden_argvs() -> list[list[str]]:
     for sweep in (["compare", "--qmax", "12"], ["errata", "--qmax", "12"], ["table-check"]):
         for fmt in ("text", "json"):
             argvs.append([*sweep, "--digits", "30", "--format", fmt])
+    argvs.append(["-h"])
+    for command in ("exact", "eval", "table-check", "compare", "errata"):
+        argvs.append([command, "-h"])
     return argvs
 
 
@@ -60,7 +64,8 @@ def test_golden_file_covers_argument_list():
 @pytest.mark.parametrize(
     "case", _load_cases(), ids=lambda case: " ".join(case["argv"])
 )
-def test_cli_output_is_byte_identical(case, capsys):
+def test_cli_output_is_byte_identical(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps -h text to it
     code = run(case["argv"])
     out = capsys.readouterr().out
     assert code == case["exit"]
