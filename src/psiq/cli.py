@@ -73,13 +73,17 @@ def _bounded_int(minimum: int, name: str, noun: str) -> Callable[[str], int]:
     return parse
 
 
+def _print_json(value: object, indent: Optional[int] = None) -> None:
+    import json  # only JSON output loads json
+
+    print(json.dumps(value, indent=indent))
+
+
 def _print_reports(fmt: str, *reports: ComparisonReport) -> int:
     """Print the reports to stdout; the exit code is 0 only when all pass."""
     if fmt == "json":
-        import json  # only JSON output loads json
-
         dicts = [report.to_json_dict() for report in reports]
-        print(json.dumps(dicts[0] if len(dicts) == 1 else dicts, indent=2))
+        _print_json(dicts[0] if len(dicts) == 1 else dicts, indent=2)
     else:
         for report in reports:
             print(report.to_text())
@@ -88,16 +92,12 @@ def _print_reports(fmt: str, *reports: ComparisonReport) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     if args.format == "json":
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "argument": str(args.rational),
-                    "closedForm": render(args.form, "plain"),
-                    "latex": render(args.form, "latex"),
-                }
-            )
+        _print_json(
+            {
+                "argument": str(args.rational),
+                "closedForm": render(args.form, "plain"),
+                "latex": render(args.form, "latex"),
+            }
         )
     else:
         print(render(args.form, "latex" if args.format == "latex" else "plain"))
@@ -105,12 +105,9 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    ctx = _lazy.EvalContext(args.digits)
-    text = _lazy.format_decimal(_lazy.eval_closed_form(args.form, ctx), args.digits)
+    text = _lazy.format_decimal(_lazy.eval_closed_form(args.form, args.ctx), args.digits)
     if args.format == "json":
-        import json
-
-        print(json.dumps({"argument": str(args.rational), "digits": args.digits, "value": text}))
+        _print_json({"argument": str(args.rational), "digits": args.digits, "value": text})
     else:
         print(text)
     return 0
@@ -123,18 +120,17 @@ def _cmd_table_check(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ctx = _lazy.EvalContext(args.digits)
-    return _print_reports(args.format, _lazy.verify_tables(entries, ctx))
+    return _print_reports(args.format, _lazy.verify_tables(entries, args.ctx))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    ctx = _lazy.EvalContext(args.digits)
-    return _print_reports(args.format, _lazy.compare_formulas(args.qmax, ctx))
+    return _print_reports(args.format, _lazy.compare_formulas(args.qmax, args.ctx))
 
 
 def _cmd_errata(args: argparse.Namespace) -> int:
-    ctx = _lazy.EvalContext(args.digits)
-    return _print_reports(args.format, _lazy.errata_gr(args.qmax, ctx), _lazy.errata_jensen(ctx))
+    return _print_reports(
+        args.format, _lazy.errata_gr(args.qmax, args.ctx), _lazy.errata_jensen(args.ctx)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,37 +144,32 @@ def build_parser() -> argparse.ArgumentParser:
     qmax = _bounded_int(2, "qmax", "qmax")
 
     p_exact = sub.add_parser("exact", help="print the exact closed form of psi(p/q)")
-    p_exact.add_argument("rational", help="the argument p/q, e.g. 1/2 or -7/3")
+    p_eval = sub.add_parser("eval", help="evaluate psi(p/q) to D significant digits")
+    for each in (p_exact, p_eval):
+        each.add_argument("rational", help="the argument p/q, e.g. 1/2 or -7/3")
     p_exact.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p_exact.set_defaults(run=_cmd_exact)
 
-    p_eval = sub.add_parser("eval", help="evaluate psi(p/q) to D significant digits")
-    p_eval.add_argument("rational", help="the argument p/q, e.g. 1/2 or -7/3")
-    p_eval.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
-    p_eval.add_argument("--format", choices=("text", "json"), default="text")
-    p_eval.set_defaults(run=_cmd_eval)
-
     p_table = sub.add_parser("table-check", help="verify the corpus of published values")
     p_table.add_argument("--corpus", default=None, help="corpus file (default: bundled)")
-    p_table.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
-    p_table.add_argument("--format", choices=("text", "json"), default="text")
-    p_table.set_defaults(run=_cmd_table_check)
-
     p_compare = sub.add_parser(
         "compare", help="cross-check the Gauss, Nielsen and Murty-Saradha forms"
     )
-    p_compare.add_argument("--qmax", type=qmax, default=DEFAULT_QMAX)
-    p_compare.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
-    p_compare.add_argument("--format", choices=("text", "json"), default="text")
-    p_compare.set_defaults(run=_cmd_compare)
-
     p_errata = sub.add_parser(
         "errata", help="measure published-formula discrepancies (GR 8.363(6), Jensen)"
     )
-    p_errata.add_argument("--qmax", type=qmax, default=DEFAULT_QMAX)
-    p_errata.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
-    p_errata.add_argument("--format", choices=("text", "json"), default="text")
-    p_errata.set_defaults(run=_cmd_errata)
+    for each in (p_compare, p_errata):
+        each.add_argument("--qmax", type=qmax, default=DEFAULT_QMAX)
+    # each command's own argument stands before these in its usage line
+    for each, handler in (
+        (p_eval, _cmd_eval),
+        (p_table, _cmd_table_check),
+        (p_compare, _cmd_compare),
+        (p_errata, _cmd_errata),
+    ):
+        each.add_argument("--digits", type=digits, default=DEFAULT_DIGITS)
+        each.add_argument("--format", choices=("text", "json"), default="text")
+        each.set_defaults(run=handler)
 
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = _NEGATIVE_NUMBER
@@ -215,9 +206,11 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
             return 2
         try:
             args.form = psi_closed(args.rational)
-        except PoleError:
-            print("digamma pole at non-positive integer", file=sys.stderr)
+        except PoleError as exc:
+            print(exc, file=sys.stderr)
             return 3
+    if "digits" in args:  # every command but exact, which loads no numerics
+        args.ctx = _lazy.EvalContext(args.digits)
     return args.run(args)
 
 

@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from . import _Record
+from .rationals import _check_exact
 
 __all__ = [
     "BasisTerm",
@@ -53,13 +54,6 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 MIN_DIGITS = 15  # fewest reported digits an evaluation of a form accepts
-
-
-def _check_exact(x: Scalar, what: str) -> None:
-    """Reject a number that is not exact: a float 0.1 would be read as a
-    binary fraction over 2^55.  A bool is rejected too."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
 
 
 def _as_fraction(x: Scalar) -> Fraction:

@@ -1,13 +1,13 @@
 """Closed-form constructors for digamma values at rational arguments.
 
 The base-case engine is the Murty-Saradha form of the classical rational-
-argument theorem.  It, the Gauss (1813) and Nielsen forms, and the shortened-
-sum variant printed in Gradshteyn-Ryzhik 8.363(6), kept at its printed limit
-for the errata analyzer, all come from one linear-time half-sum builder,
-:func:`_theorem_form`.  They give two distinct forms:
-gauss_1813(p, q) == nielsen(p, q) and gr_variant(p, q) == murty_saradha(p, q),
-so ``compare`` checks the builder against itself; the independent check is
-the term-by-term references in ``tests/test_formulas.py``.  The top-level
+argument theorem.  It, the Gauss (1813) and Nielsen forms, and the variant
+printed in Gradshteyn-Ryzhik 8.363(6) all come from one linear-time half-sum
+builder, :func:`_theorem_form`, as two distinct forms: gauss_1813(p, q) ==
+nielsen(p, q), and gr_variant(p, q) == murty_saradha(p, q) since the printed
+GR limit drops only the zero j = q/2 summand.  So ``compare`` checks the
+builder against itself; the independent check is the term-by-term references
+in ``tests/test_formulas.py``, the GR one at the printed limit.  The top-level
 dispatcher :func:`psi_closed` covers every non-pole rational by combining the
 exact unit-shift recurrence with the base-case engine.
 """
@@ -54,10 +54,10 @@ _HALF_COT = (CosineCombination(Fraction(-1, 2)), CosineCombination(Fraction(1, 2
 _LN2 = BasisTerm("logprime", 2)
 
 
-def _theorem_form(p: int, q: int, ln2_mass: bool, upper: int) -> ClosedForm:
+def _theorem_form(p: int, q: int, ln2_mass: bool) -> ClosedForm:
     """-gamma - ln(q if ln2_mass else 2q) - (pi/2)cot(pi p/q)
-    + sum'_{j=1}^{upper} 2 cos(2 pi p j/q) [ln sin(pi j/q) + (ln 2 if ln2_mass)]
-    for upper <= q/2, where the prime gives the j = q/2 term of an even q weight 1.
+    + sum'_{j=1}^{floor(q/2)} 2 cos(2 pi p j/q) [ln sin(pi j/q) + (ln 2 if ln2_mass)],
+    where the prime gives the j = q/2 term of an even q weight 1.
 
     Linear time over integers: each cosine folds k = p*j mod q into [0, q/2]
     the way ``from_cos`` does, and the ln 2 mass is an integer map keyed by k.
@@ -75,7 +75,7 @@ def _theorem_form(p: int, q: int, ln2_mass: bool, upper: int) -> ClosedForm:
     ln2: dict[int, int] = {}  # receives the sum's mass if ln2_mass
     log_sins = []
     append = log_sins.append
-    for j in range(1, upper + 1):
+    for j in range(1, q // 2 + 1):
         k = p * j % q
         if 2 * k > q:
             k = q - k
@@ -110,7 +110,7 @@ def murty_saradha(p: int, q: int) -> ClosedForm:
     For even q the j = q/2 summand multiplies ln sin(pi/2) = 0, so the primed
     half sum, which gives it weight 1, is the same form.
     """
-    return _theorem_form(p, q, ln2_mass=False, upper=q // 2)
+    return _theorem_form(p, q, ln2_mass=False)
 
 
 def gauss_1813(p: int, q: int) -> ClosedForm:
@@ -121,7 +121,7 @@ def gauss_1813(p: int, q: int) -> ClosedForm:
     2 - 2 cos t = 4 sin^2(t/2), each ln(2 - 2 cos(2 pi j/q)) is exactly
     2 ln 2 + 2 ln sin(pi j/q): the primed half sum with ln 2 mass.
     """
-    return _theorem_form(p, q, ln2_mass=True, upper=q // 2)
+    return _theorem_form(p, q, ln2_mass=True)
 
 
 def nielsen(p: int, q: int) -> ClosedForm:
@@ -132,16 +132,16 @@ def nielsen(p: int, q: int) -> ClosedForm:
     folds to the Gauss form's primed half sum: weight 2 for j < q/2, and
     weight 1 for the unpaired j = q/2 of an even q.
     """
-    return _theorem_form(p, q, ln2_mass=True, upper=q // 2)
+    return _theorem_form(p, q, ln2_mass=True)
 
 
 def gr_variant(p: int, q: int) -> ClosedForm:
-    """The Murty-Saradha form with upper limit floor((q+1)/2) - 1, exactly as
-    printed in Gradshteyn-Ryzhik 8.363(6); kept uncorrected so the errata
-    analyzer can measure any discrepancy.  The limit equals floor(q/2) for odd
-    q and drops only the zero j = q/2 summand for even q, so the form is the
-    Murty-Saradha form."""
-    return _theorem_form(p, q, ln2_mass=False, upper=(q + 1) // 2 - 1)
+    """The Murty-Saradha form with upper limit floor((q+1)/2) - 1, as printed
+    in Gradshteyn-Ryzhik 8.363(6).  The limit equals floor(q/2) for odd q and
+    drops only the zero j = q/2 summand for even q, so the form is built by
+    the Murty-Saradha call; the term-by-term reference in the tests keeps the
+    printed limit."""
+    return _theorem_form(p, q, ln2_mass=False)
 
 
 def psi_closed(r: Fraction) -> ClosedForm:
@@ -153,7 +153,7 @@ def psi_closed(r: Fraction) -> ClosedForm:
     """
     sd = shift_decompose(r)  # raises PoleError at non-positive integers
     if sd.base == 1:
-        base_form = ClosedForm.build({GAMMA: CosineCombination.from_rational(-1)})
+        base_form = ClosedForm(((GAMMA, _MINUS_GAMMA),))
     else:
         base_form = murty_saradha(sd.base.numerator, sd.base.denominator)
     if sd.correction == 0:

@@ -45,14 +45,20 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(m.group(1)), den)
 
 
+def _check_exact(x: object, what: str) -> None:
+    """Reject a number that is not exact: a float 0.1 would be read as a
+    binary fraction over 2^55.  A bool is rejected too."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
+
+
 def is_pole(r: Fraction) -> bool:
     """Whether r is a pole of the digamma function: 0, -1, -2, ...
 
     Raises ValueError for an r that is not an int or a Fraction: a float
     0.1 is not the rational it reads as.
     """
-    if isinstance(r, bool) or not isinstance(r, (int, Fraction)):
-        raise ValueError(f"an argument must be an int or a Fraction, got {r!r}")
+    _check_exact(r, "an argument")
     return r.denominator == 1 and r <= 0
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from psiq import (
     ShiftDecomposition,
     eval_closed_form,
     is_pole,
+    log_sin,
     oracle_psi_asymptotic,
     parse_rational,
+    pi_cot,
     psi_closed,
     shift_decompose,
 )
@@ -133,10 +136,16 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "entry",
-        [psi_closed, shift_decompose, lambda r: oracle_psi_asymptotic(r, EvalContext(30))],
-        ids=["psi_closed", "shift_decompose", "oracle_psi_asymptotic"],
+        [
+            psi_closed,
+            shift_decompose,
+            lambda r: oracle_psi_asymptotic(r, EvalContext(30)),
+            log_sin,
+            pi_cot,
+        ],
+        ids=["psi_closed", "shift_decompose", "oracle_psi_asymptotic", "log_sin", "pi_cot"],
     )
-    @pytest.mark.parametrize("r", [0.5, True, False], ids=repr)
+    @pytest.mark.parametrize("r", [0.5, True, False, Decimal("0.5"), "1/2"], ids=repr)
     def test_entry_points_reject_non_rationals(self, entry, r):
         # a bool is an int to isinstance, and a float has no denominator
         with pytest.raises(ValueError, match="must be an int or a Fraction") as info:
