@@ -4,9 +4,9 @@
 479 digits) and ``psiq exact`` (text, JSON and LaTeX) over a fixed argument
 list, then of the sweeps ``compare`` and ``errata`` (q <= 12) and
 ``table-check`` at 30 digits in text and JSON, and last of ``-h`` for
-``psiq`` and each subcommand, wrapped to 80 columns.  A change that must leave CLI
-output untouched (a faster algorithm, a refactor, a deletion) is checked
-against it.  Regenerate the file only when an output change is intended, by
+``psiq`` and each subcommand, wrapped to 80 columns.  A change that must
+leave CLI output untouched (a faster algorithm, a refactor, a deletion) is
+checked against it.  Regenerate the file only when an output change is intended, by
 running this module as a script::
 
     PYTHONPATH=src python tests/test_golden_cli.py
