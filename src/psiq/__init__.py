@@ -98,7 +98,8 @@ def _load(name: str, namespace: dict, module_name: str):
 
 
 class _Record:
-    """An immutable value record: its fields are its ``__slots__``, in order.
+    """An immutable value record: its fields are its ``__slots__``, in order,
+    but for private ones (a leading ``_``).
 
     Records compare equal only to records of the same class with equal
     fields, hash as the tuple of their fields, print as
@@ -108,13 +109,17 @@ class _Record:
     fields in ``_check()``; one that is built in bulk defines its own
     ``__init__`` and sets each slot through the class's slot descriptor,
     ``Cls.field.__set__(self, value)``, the cheapest way past ``__setattr__``.
+    A private slot may hold what a field is filled in from on its first read.
     """
 
     __slots__ = ()
     _defaults: dict = {}
 
+    def __init_subclass__(cls) -> None:
+        cls._field_names = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+
     def __init__(self, *args, **kwargs) -> None:
-        fields = self.__slots__
+        fields = self._field_names
         name = type(self).__name__
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
@@ -136,7 +141,7 @@ class _Record:
         pass
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, field) for field in self.__slots__)
+        return tuple(getattr(self, field) for field in self._field_names)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -147,7 +152,7 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        pairs = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        pairs = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._field_names)
         return f"{type(self).__qualname__}({pairs})"
 
     def __setattr__(self, name, value):

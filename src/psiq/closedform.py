@@ -30,6 +30,7 @@ equality of structurally different forms is checked by evaluating both.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -275,6 +276,20 @@ def prime_exponents(n: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 CoeffLike = Union[CosineCombination, Fraction, int]
+_ZERO = Fraction(0)  # the rational part of every half-sum cosine
+
+
+def _half_sum(p: int, q: int):
+    """The (j, k) of the terms 2 cos(2 pi k/q) ln sin(pi j/q) of the theorem
+    half sum sum_{0<j<q/2} 2 cos(2 pi p j/q) ln sin(pi j/q), gcd(p, q) = 1,
+    in increasing j: k = p*j mod q folded into (0, q/2) as ``from_cos``
+    folds it, less the term of cos(pi/2) = 0 (j = k = q/4).  None at q = 2, 4."""
+    for j in range(1, (q + 1) // 2):
+        k = p * j % q
+        if 2 * k > q:
+            k = q - k
+        if 4 * k != q:
+            yield j, k
 
 
 def _as_combination(c: CoeffLike) -> CosineCombination:
@@ -288,11 +303,52 @@ class ClosedForm(_Record):
 
     The empty form is the exact value 0.  Instances are immutable; build new
     ones with :meth:`build`.
+
+    A theorem form (:mod:`psiq.formulas`) defers its ln sin half sum
+    (:func:`_half_sum`): its private slot ``_half`` holds (head, p, q,
+    built), head the records of its other terms, which sort first and have
+    denominators dividing q.  The first read of ``coefficients`` builds the
+    sum's records into the list ``built``, shared with the forms
+    :meth:`_prepend` derives, and fills the field in (two threads at once
+    build equal tuples), so the form equals, hashes, prints and pickles as
+    its eager copy.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "_half")
     _defaults = {"coefficients": ()}
     coefficients: tuple[tuple[BasisTerm, CosineCombination], ...]
+
+    def __getattr__(self, name: str):
+        # called only for an unset slot: a deferred form's coefficients
+        if name != "coefficients":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        head, p, q, built = self._half
+        if not built:
+            gcd, records = math.gcd, []
+            for j, k in _half_sum(p, q):  # each over its reduced denominator
+                g, common = gcd(j, q), gcd(k, q)
+                cosine = CosineCombination(_ZERO, q // common, ((k // common, 2),))
+                records.append((BasisTerm("logsin", (j // g, q // g)), cosine))
+            built.append(tuple(records))
+        records = head + built[0]
+        ClosedForm.coefficients.__set__(self, records)
+        return records
+
+    @classmethod
+    def _defer(cls, head: tuple, p: int, q: int, built: list) -> "ClosedForm":
+        """The form of ``head`` and the half sum of (p, q), deferred."""
+        if q in (2, 4):  # the half sum has no term
+            return cls(head)
+        form = cls.__new__(cls)
+        ClosedForm._half.__set__(form, (head, p, q, built))
+        return form
+
+    def _prepend(self, pair: tuple) -> "ClosedForm":
+        """This form with ``pair``, whose term sorts first, put first."""
+        half = getattr(self, "_half", None)
+        if half is None:
+            return ClosedForm((pair, *self.coefficients))
+        return ClosedForm._defer((pair, *half[0]), *half[1:])
 
     @classmethod
     def build(
@@ -348,9 +404,11 @@ class ClosedForm(_Record):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def _int_text(n: int) -> str:
     # str(int) obeys sys.get_int_max_str_digits() (4300 by default), which
-    # shift corrections exceed; Decimal gives the same digits with no limit
+    # shift corrections exceed; Decimal gives the same digits with no limit,
+    # in quadratic time, so the plain and the LaTeX render share each text
     return str(Decimal(n))
 
 

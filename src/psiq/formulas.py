@@ -9,7 +9,8 @@ GR limit drops only the zero j = q/2 summand.  So ``compare`` checks the
 builder against itself; the independent check is the term-by-term references
 in ``tests/test_formulas.py``, the GR one at the printed limit.  The top-level
 dispatcher :func:`psi_closed` covers every non-pole rational by combining the
-exact unit-shift recurrence with the base-case engine.
+exact unit-shift recurrence with the base-case engine.  Each form defers the
+records of its ln sin half sum to their first read (:class:`ClosedForm`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .closedform import (
     BasisTerm,
     ClosedForm,
     CosineCombination,
+    _half_sum,
     pi_cot,
     prime_exponents,
 )
@@ -47,7 +49,6 @@ def _check_pq(p: int, q: int) -> None:
         raise ValueError(f"require gcd(p, q) = 1, got p={p}, q={q}")
 
 
-_ZERO = Fraction(0)  # the rational part of every single-cosine combination
 _MINUS_GAMMA = CosineCombination(Fraction(-1))
 # -(1/2) cot(pi p/q) folded into (0, 1/2]: indexed by 2p > q
 _HALF_COT = (CosineCombination(Fraction(-1, 2)), CosineCombination(Fraction(1, 2)))
@@ -59,48 +60,30 @@ def _theorem_form(p: int, q: int, ln2_mass: bool) -> ClosedForm:
     + sum'_{j=1}^{floor(q/2)} 2 cos(2 pi p j/q) [ln sin(pi j/q) + (ln 2 if ln2_mass)],
     where the prime gives the j = q/2 term of an even q weight 1.
 
-    Linear time over integers: each cosine folds k = p*j mod q into [0, q/2]
-    the way ``from_cos`` does, and the ln 2 mass is an integer map keyed by k.
-    Since gcd(p, q) = 1, k is 0 or q/2 only at j = 0 or q/2, so each ln sin
-    with j < q/2 gets the single cosine 2 cos(2 pi k/q), 0 < 2k < q, built
-    directly over its reduced denominator.  Each ln sin(pi j/q) comes once and
-    in canonical order (j = q/2 gives ln sin(pi/2) = 0), ln q or ln 2q is
-    factored in ints, and the cotangent angle is folded into (0, 1/2], so the
-    form is frozen without ``ClosedForm.build``; only the ln 2 coefficient
-    can cancel to zero.
+    The head is built at once, in canonical order and linear time over
+    integers: ln q or ln 2q is factored in ints, the cotangent angle is
+    folded into (0, 1/2], and the ln 2 mass is an integer map over the k of
+    the half sum (``_half_sum``), the only coefficient that can cancel to
+    zero.  The ln sin half sum over j < q/2 (the j = q/2 term is
+    ln sin(pi/2) = 0) is deferred as (p, q), so no form is frozen by
+    ``ClosedForm.build``, and an evaluation builds no ln sin record.
     """
     _check_pq(p, q)
     exponents = prime_exponents(q if ln2_mass else 2 * q)
-    gcd = math.gcd
-    ln2: dict[int, int] = {}  # receives the sum's mass if ln2_mass
-    log_sins = []
-    append = log_sins.append
-    for j in range(1, q // 2 + 1):
-        k = p * j % q
-        if 2 * k > q:
-            k = q - k
-        if 4 * k == q:
-            continue  # cos(pi/2) = 0
-        if 2 * j != q:
-            g, common = gcd(j, q), gcd(k, q)
-            cosine = CosineCombination(_ZERO, q // common, ((k // common, 2),))
-            append((BasisTerm("logsin", (j // g, q // g)), cosine))
-            if ln2_mass:
-                ln2[k] = ln2.get(k, 0) + 2
-        elif ln2_mass:
-            ln2[0] = ln2.get(0, 0) - 1  # weight 1 times cos(pi) = -1, in the rational part
-    coefficients = [(GAMMA, _MINUS_GAMMA)]
+    head = [(GAMMA, _MINUS_GAMMA)]
     if 2 * p != q:  # cot(pi/2) = 0; cot(pi (1 - x)) = -cot(pi x)
-        coefficients.append((BasisTerm("picot", (min(p, q - p), q)), _HALF_COT[2 * p > q]))
+        head.append((BasisTerm("picot", (min(p, q - p), q)), _HALF_COT[2 * p > q]))
     if ln2_mass:
-        rational = Fraction(ln2.pop(0, 0) - exponents.pop(2, 0))
+        # each k comes once: j -> +-p*j mod q is one-to-one on 0 < j < q/2
+        ln2 = dict.fromkeys((k for _, k in _half_sum(p, q)), 2)
+        # the j = q/2 term of an even q: weight 1 times cos(pi) = -1
+        rational = Fraction(q % 2 - 1 - exponents.pop(2, 0))
         ln2_coefficient = CosineCombination.from_numerators(rational, q, ln2)
         if not ln2_coefficient.is_zero:
-            coefficients.append((_LN2, ln2_coefficient))
+            head.append((_LN2, ln2_coefficient))
     for prime, exponent in exponents.items():
-        coefficients.append((BasisTerm("logprime", prime), CosineCombination(Fraction(-exponent))))
-    coefficients += log_sins
-    return ClosedForm(tuple(coefficients))
+        head.append((BasisTerm("logprime", prime), CosineCombination(Fraction(-exponent))))
+    return ClosedForm._defer(tuple(head), p, q, [])
 
 
 def murty_saradha(p: int, q: int) -> ClosedForm:
@@ -149,7 +132,7 @@ def psi_closed(r: Fraction) -> ClosedForm:
 
     Shift-decomposes the argument to a base in (0, 1], applies the base-case
     engine (psi(1) = -gamma for base 1), and adds the exact rational
-    correction as a unit term.
+    correction as a unit term, leaving the base form's half sum deferred.
     """
     sd = shift_decompose(r)  # raises PoleError at non-positive integers
     if sd.base == 1:
@@ -159,8 +142,7 @@ def psi_closed(r: Fraction) -> ClosedForm:
     if sd.correction == 0:
         return base_form
     # the base form is canonical and has no unit term, which sorts first
-    unit = (UNIT, CosineCombination.from_rational(sd.correction))
-    return ClosedForm((unit, *base_form.coefficients))
+    return base_form._prepend((UNIT, CosineCombination.from_rational(sd.correction)))
 
 
 def reflect(c: ClosedForm, r: Fraction) -> ClosedForm:

@@ -15,7 +15,8 @@ that a chain of at most 63 atanh steps at P + 16 bits accumulates, which
 gives the logs from j = 32 on; and the final rounding to P bits, 1/2 for a
 chained log and 1 for the logs j < 32, which libmp's log gives directly.
 pi, gamma, ln p and pi*cot(pi*x) enter rounded to W bits.  The coefficient
-x basis products and their sum are exact integers, rounded once to W bits.
+x basis products and their sum are exact integers, rounded once to W bits; a
+theorem form's deferred half sum adds the products of its records from (p, q).
 
 The tables and those four constants live in one cache (:class:`_ValueCache`),
 a bounded, thread-safe LRU whose budget counts slots: q//2 + 1 per table, one
@@ -56,7 +57,7 @@ import mpmath
 from mpmath import libmp
 
 from . import _Record
-from .closedform import MIN_DIGITS, UNIT, BasisTerm, ClosedForm, CosineCombination
+from .closedform import MIN_DIGITS, UNIT, BasisTerm, ClosedForm, CosineCombination, _half_sum
 from .rationals import PoleError, is_pole, shift_decompose, upward_sum
 
 __all__ = [
@@ -371,19 +372,20 @@ def _scaled(x: Fraction, value: int) -> int:
 
 
 def _fixed_sum(
-    pairs: tuple[tuple[BasisTerm, CosineCombination], ...], ctx: EvalContext
+    pairs: tuple[tuple[BasisTerm, CosineCombination], ...], ctx: EvalContext, half=None
 ) -> BigReal:
-    """Sum of coefficient * basis value over the pairs, in fixed point at
-    P = W + 32 bits.
+    """Sum of coefficient * basis value over the pairs and, if given, the
+    theorem half sum of ``half`` = (p, q), in fixed point at P = W + 32 bits.
 
     The common denominator q is the lcm of each coefficient's denominator
-    and each ln sin angle's, one lcm per pair.  Every cosine cos(2*pi*k/d)
-    and every ln sin(pi*m/d) comes from the one table of q, at slot k*(q/d)
-    and min(j, q - j) for j = m*(q/d), which lies in (0, q) because a
-    stored angle has 0 < m < d; each product is an exact integer scaled by
-    2^(2P), and the sum is rounded once to the working precision W.
+    and each ln sin angle's, one lcm per pair, and the half sum's q.  Every
+    cosine cos(2*pi*k/d) and every ln sin(pi*m/d) comes from the one table
+    of q, at slot k*(q/d) and min(j, q - j) for j = m*(q/d), which lies in
+    (0, q) because a stored angle has 0 < m < d; a half-sum term (j, k) adds
+    2*cos2(k)*log_sin(j) as its record would (the pairs' denominators divide
+    its q).  Each product is an exact integer scaled by 2^(2P), rounded once.
     """
-    q = 1
+    q = half[1] if half else 1
     for term, coeff in pairs:
         q = math.lcm(q, term.arg[1] if term.kind == "logsin" else 1, coeff.denominator)
     work = libmp.dps_to_prec(ctx.workdps)
@@ -392,7 +394,7 @@ def _fixed_sum(
     if q > 1:
         table = _values.get((prec, q), lambda: _SineTable(q, prec))
         cos2, log_sin = table.cos2, table.log_sin
-    total = 0
+    total = 2 * sum(cos2(k) * log_sin(j) for j, k in _half_sum(*half)) if half else 0
     for term, coeff in pairs:
         r = coeff.rational
         c = r.numerator * one if r.denominator == 1 else _scaled(r, one)
@@ -430,14 +432,17 @@ def eval_closed_form(c: ClosedForm, ctx: EvalContext) -> BigReal:
     Evaluated in fixed point at P = W + 32 bits with one rounding to the W
     working bits (module docstring), from the one sine table of the form's
     common denominator, which for the theorem forms of psi(p/q) is q; each
-    cosine is read by its integer numerator (:func:`_fixed_sum`).  The
-    error before that rounding is at most sum |c|*e(basis) + |basis|*e(c)
+    cosine is read by its integer numerator (:func:`_fixed_sum`), and a
+    theorem form's deferred half sum by its (j, k), its records unbuilt.
+    The error before that rounding is at most sum |c|*e(basis) + |basis|*e(c)
     over the terms, with e the errors stated there (in units of 2^-P) and
     the W-bit rounding of pi, gamma, ln p and pi*cot.  For the theorem forms
-    of denominator q <= 10^5 the table part stays below 2^-(W+12); the 15
+    of denominator q it is about 3q + (2q/3)*H_{q/2} units from the table
+    (H the harmonic numbers), below 2^-(W+8) up to q = 10^6 + 3; the 15
     guard digits keep the relative error below 10^-(D-5).
     """
-    return _fixed_sum(c.coefficients, ctx)
+    half = getattr(c, "_half", None)
+    return _fixed_sum(half[0], ctx, half[1:3]) if half else _fixed_sum(c.coefficients, ctx)
 
 
 # ---------------------------------------------------------------------------

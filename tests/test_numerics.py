@@ -1,6 +1,8 @@
+import copy
 import functools
 import hashlib
 import math
+import pickle
 import random
 import re
 import sys
@@ -397,6 +399,16 @@ def reference_fixed_sum(form: ClosedForm, ctx: EvalContext):
     return ctx.mp.make_mpf(rounded)
 
 
+def eager_copy(form: ClosedForm) -> ClosedForm:
+    """The form of the same records with no deferred half sum."""
+    return ClosedForm(form.coefficients)
+
+
+def is_built(form: ClosedForm) -> bool:
+    """Whether a deferred form's half-sum records exist, read without building them."""
+    return bool(form._half[3])
+
+
 class TestBitIdenticalToReference:
     """eval_closed_form gives every bit of the reference evaluator."""
 
@@ -405,6 +417,8 @@ class TestBitIdenticalToReference:
         for label, form in forms:
             value = eval_closed_form(form, ctx)
             assert value._mpf_ == reference_fixed_sum(form, ctx)._mpf_, label
+            # a theorem form's deferred half sum gives its eager copy's bits
+            assert value._mpf_ == eval_closed_form(eager_copy(form), ctx)._mpf_, label
 
     def test_every_construction_to_q40(self, ctx50):
         forms = [
@@ -447,6 +461,90 @@ class TestBitIdenticalToReference:
     def test_pinned_arguments(self, digits):
         forms = [(arg, psi_closed(Fraction(arg))) for arg in TestPinnedValues.ARGUMENTS]
         self.assert_identical(forms, EvalContext(digits))
+
+
+class TestDeferredHalfSum:
+    """A theorem form holds its ln sin half sum as (p, q): it evaluates to
+    every bit of its eager copy without building the half sum's records, and
+    equals, hashes, prints, copies and pickles as that copy, before and
+    after its records are first read."""
+
+    @staticmethod
+    def assert_identical(forms, ctx):
+        for label, form in forms:
+            value = eval_closed_form(form, ctx)
+            assert value._mpf_ == eval_closed_form(eager_copy(form), ctx)._mpf_, label
+
+    @pytest.mark.parametrize("digits, qmax", [(15, 60), (50, 60), (479, 24)])
+    def test_both_constructions_at_every_reduced_pair(self, digits, qmax):
+        forms = [
+            ((construction.__name__, p, q), construction(p, q))
+            for p, q in coprime_pairs(qmax)
+            for construction in (murty_saradha, gauss_1813)
+        ]
+        self.assert_identical(forms, EvalContext(digits))
+
+    def test_shifted_arguments(self, ctx50):
+        arguments = [Fraction(p, q) + n for p, q in coprime_pairs(60) for n in (-3, 3)]
+        self.assert_identical([(x, psi_closed(x)) for x in arguments], ctx50)
+
+    @pytest.mark.parametrize("q", [2310, 3001, 30011])
+    def test_sampled_numerators_at_large_denominators(self, q, ctx50):
+        rng = random.Random(q)
+        numerators = [p for p in (1, q - 1, *rng.sample(range(2, q - 1), 6)) if math.gcd(p, q) == 1]
+        forms = [
+            ((construction.__name__, p), construction(p, q))
+            for p in numerators
+            for construction in (murty_saradha, gauss_1813)
+        ]
+        self.assert_identical(forms, ctx50)
+
+    def test_evaluation_builds_no_half_sum_record(self, ctx50):
+        forms = [psi_closed(Fraction(1234, 3001) + 2), psi_closed(Fraction(-5, 12))]
+        forms += [construction(7, 60) for construction in (murty_saradha, gauss_1813, nielsen, gr_variant)]
+        for form in forms:
+            eval_closed_form(form, ctx50)
+            assert not is_built(form), form._half[1:3]
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unbuilt", "built"])
+    def test_record_behaviour_is_the_eager_copy(self, read_first):
+        makers = [
+            lambda: murty_saradha(3, 20),
+            lambda: gauss_1813(7, 17),
+            lambda: psi_closed(Fraction(7, 17) - 3),  # shares its base form's half sum
+        ]
+        checks = {
+            "eq": lambda f, e: f == e and e == f and not f != e,
+            "hash": lambda f, e: hash(f) == hash(e) and len({f, e}) == 1,
+            "repr": lambda f, e: repr(f) == repr(e),
+            "pickle": lambda f, e: all(
+                pickle.dumps(f, n) == pickle.dumps(e, n) and pickle.loads(pickle.dumps(f, n)) == e
+                for n in range(pickle.HIGHEST_PROTOCOL + 1)
+            ),
+            "copy": lambda f, e: copy.copy(f) == e and copy.deepcopy(f) == e,
+        }
+        for index, make in enumerate(makers):
+            eager = eager_copy(make())
+            for name, check in checks.items():
+                form = make()
+                if read_first:
+                    assert form.coefficients == eager.coefficients
+                assert is_built(form) == read_first
+                assert check(form, eager), (index, name)
+
+    def test_threads_fill_in_one_form_as_one(self):
+        form = psi_closed(Fraction(1234, 3001) + 2)
+        expected = eager_copy(psi_closed(Fraction(1234, 3001) + 2)).coefficients
+        start = threading.Barrier(4)
+        read: list = [None] * 4
+
+        def work(i: int) -> None:
+            start.wait(timeout=60)
+            read[i] = form.coefficients
+
+        run_threads(work, 4, timeout=60)
+        assert all(records == expected for records in read)
+        assert all(records == expected for records in (form.coefficients, eager_copy(form).coefficients))
 
 
 class TestValueCache:

@@ -13,12 +13,16 @@ import pytest
 
 from psiq.closedform import BasisTerm, ClosedForm, CosineCombination
 from psiq.expressions import BinOp, Call, Name, Neg, Number, _Token
+from psiq.formulas import murty_saradha
 from psiq.numerics import EvalContext
 from psiq.rationals import ShiftDecomposition
 from psiq.verification import CaseResult, ComparisonReport, TableEntry
 
 _GAMMA_TERM = (BasisTerm("gamma"), CosineCombination(Fraction(-1)))
 _CASE = CaseResult("1/2", "gauss", "nielsen", mpmath.mpf("0.25"), True)
+# a theorem form defers its ln sin half sum; its sample is built afresh by
+# murty_saradha (make below), and its fields and repr are its eager copy's
+_DEFERRED = (murty_saradha(1, 3).coefficients,)
 
 # class, its fields in order, one sample's field values, and that sample's repr
 RECORDS = [
@@ -41,6 +45,21 @@ RECORDS = [
         ((_GAMMA_TERM,),),
         "ClosedForm(coefficients=((BasisTerm(kind='gamma', arg=None),"
         " CosineCombination(rational=Fraction(-1, 1), denominator=1, cosines=())),))",
+    ),
+    (
+        ClosedForm,
+        ("coefficients",),
+        _DEFERRED,
+        "ClosedForm(coefficients=((BasisTerm(kind='gamma', arg=None),"
+        " CosineCombination(rational=Fraction(-1, 1), denominator=1, cosines=())),"
+        " (BasisTerm(kind='picot', arg=(1, 3)),"
+        " CosineCombination(rational=Fraction(-1, 2), denominator=1, cosines=())),"
+        " (BasisTerm(kind='logprime', arg=2),"
+        " CosineCombination(rational=Fraction(-1, 1), denominator=1, cosines=())),"
+        " (BasisTerm(kind='logprime', arg=3),"
+        " CosineCombination(rational=Fraction(-1, 1), denominator=1, cosines=())),"
+        " (BasisTerm(kind='logsin', arg=(1, 3)),"
+        " CosineCombination(rational=Fraction(0, 1), denominator=3, cosines=((1, 2),)))))",
     ),
     (
         ShiftDecomposition,
@@ -95,7 +114,12 @@ RECORDS = [
     ),
 ]
 
-IDS = [cls.__name__ for cls, _, _, _ in RECORDS]
+IDS = [cls.__name__ + ("-deferred" if v is _DEFERRED else "") for cls, _, v, _ in RECORDS]
+
+
+def make(cls, values):
+    """The sample record of ``values``: the deferred one with its records unbuilt."""
+    return murty_saradha(1, 3) if values is _DEFERRED else cls(*values)
 
 
 def test_every_record_class_is_listed():
@@ -105,7 +129,7 @@ def test_every_record_class_is_listed():
 @pytest.mark.parametrize("cls, fields, values, text", RECORDS, ids=IDS)
 class TestRecord:
     def test_positional_and_keyword_construction(self, cls, fields, values, text):
-        record = cls(*values)
+        record = make(cls, values)
         assert tuple(getattr(record, f) for f in fields) == values
         assert cls(**dict(zip(fields, values))) == record
         assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == record
@@ -119,22 +143,22 @@ class TestRecord:
             cls(*values, **{fields[0]: values[0]})
 
     def test_value_equality_and_hash(self, cls, fields, values, text):
-        record, twin = cls(*values), cls(*copy.deepcopy(values))
+        record, twin = make(cls, values), cls(*copy.deepcopy(values))
         assert record == twin and not record != twin
         assert hash(record) == hash(twin) == hash(values)
         assert record != values
         assert record.__eq__(values) is NotImplemented
 
     def test_inequality_across_classes(self, cls, fields, values, text):
-        record = cls(*values)
+        record = make(cls, values)
         others = [other(*v) for other, _, v, _ in RECORDS if other is not cls]
         assert all(record != other and not record == other for other in others)
 
     def test_repr(self, cls, fields, values, text):
-        assert repr(cls(*values)) == text
+        assert repr(make(cls, values)) == text
 
     def test_assignment_and_deletion_raise(self, cls, fields, values, text):
-        record = cls(*values)
+        record = make(cls, values)
         for field in fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, values[0])
@@ -145,7 +169,7 @@ class TestRecord:
         assert tuple(getattr(record, f) for f in fields) == values
 
     def test_pickle_and_copy_round_trip(self, cls, fields, values, text):
-        record = cls(*values)
+        record = make(cls, values)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(record, protocol))
             assert type(back) is cls and back == record
