@@ -283,7 +283,7 @@ def _half_sum(p: int, q: int):
     """The (j, k) of the terms 2 cos(2 pi k/q) ln sin(pi j/q) of the theorem
     half sum sum_{0<j<q/2} 2 cos(2 pi p j/q) ln sin(pi j/q), gcd(p, q) = 1,
     in increasing j: k = p*j mod q folded into (0, q/2) as ``from_cos``
-    folds it, less the term of cos(pi/2) = 0 (j = k = q/4).  None at q = 2, 4."""
+    folds it, less the term of cos(pi/2) = 0 (j = k = q/4); none at q = 2, 4."""
     for j in range(1, (q + 1) // 2):
         k = p * j % q
         if 2 * k > q:
