@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from psiq import numerics
+from psiq import formulas, numerics
 from psiq import (
     EvalContext,
     bernoulli_even,
@@ -531,6 +531,23 @@ class TestDeferredHalfSum:
                     assert form.coefficients == eager.coefficients
                 assert is_built(form) == read_first
                 assert check(form, eager), (index, name)
+
+    def test_shifted_form_reuses_its_base_records(self, monkeypatch):
+        # psi_closed looks murty_saradha up in its module, as bench/spans.py
+        # relies on; the base form it built is kept here
+        bases = []
+
+        def kept(p, q):
+            bases.append(murty_saradha(p, q))
+            return bases[-1]
+
+        monkeypatch.setattr(formulas, "murty_saradha", kept)
+        form = psi_closed(Fraction(1234, 3001) + 2)
+        (base,) = bases
+        assert not is_built(base)
+        records = form.coefficients
+        assert is_built(base) and len(records) == len(base.coefficients) + 1
+        assert all(a is b for a, b in zip(records[1:], base.coefficients))
 
     def test_threads_fill_in_one_form_as_one(self):
         form = psi_closed(Fraction(1234, 3001) + 2)
