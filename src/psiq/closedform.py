@@ -305,13 +305,12 @@ class ClosedForm(_Record):
     ones with :meth:`build`.
 
     A theorem form (:mod:`psiq.formulas`) defers its ln sin half sum
-    (:func:`_half_sum`): its private slot ``_half`` holds (head, p, q,
-    built), head the records of its other terms, which sort first and have
-    denominators dividing q.  The first read of ``coefficients`` builds the
-    sum's records into the list ``built``, shared with the forms
-    :meth:`_prepend` derives, and fills the field in (two threads at once
-    build equal tuples), so the form equals, hashes, prints and pickles as
-    its eager copy.
+    (:func:`_half_sum`): its private slot ``_half`` holds the immutable
+    (head, p, q), head the records of its other terms, which sort first and
+    have denominators dividing q.  The first read of ``coefficients`` builds
+    the sum's records from (p, q) and fills the field in (two threads at
+    once build equal tuples), so the form equals, hashes, prints and pickles
+    as its eager copy.
     """
 
     __slots__ = ("coefficients", "_half")
@@ -322,25 +321,23 @@ class ClosedForm(_Record):
         # called only for an unset slot: a deferred form's coefficients
         if name != "coefficients":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        head, p, q, built = self._half
-        if not built:
-            gcd, records = math.gcd, []
-            for j, k in _half_sum(p, q):  # each over its reduced denominator
-                g, common = gcd(j, q), gcd(k, q)
-                cosine = CosineCombination(_ZERO, q // common, ((k // common, 2),))
-                records.append((BasisTerm("logsin", (j // g, q // g)), cosine))
-            built.append(tuple(records))
-        records = head + built[0]
+        head, p, q = self._half
+        gcd, records = math.gcd, list(head)
+        for j, k in _half_sum(p, q):  # each over its reduced denominator
+            g, common = gcd(j, q), gcd(k, q)
+            cosine = CosineCombination(_ZERO, q // common, ((k // common, 2),))
+            records.append((BasisTerm("logsin", (j // g, q // g)), cosine))
+        records = tuple(records)
         ClosedForm.coefficients.__set__(self, records)
         return records
 
     @classmethod
-    def _defer(cls, head: tuple, p: int, q: int, built: list) -> "ClosedForm":
+    def _defer(cls, head: tuple, p: int, q: int) -> "ClosedForm":
         """The form of ``head`` and the half sum of (p, q), deferred."""
         if q in (2, 4):  # the half sum has no term
             return cls(head)
         form = cls.__new__(cls)
-        ClosedForm._half.__set__(form, (head, p, q, built))
+        ClosedForm._half.__set__(form, (head, p, q))
         return form
 
     def _prepend(self, pair: tuple) -> "ClosedForm":
@@ -391,12 +388,6 @@ class ClosedForm(_Record):
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def coefficient(self, term: BasisTerm) -> CosineCombination:
-        for t, c in self.coefficients:
-            if t == term:
-                return c
-        return CosineCombination()
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def _theorem_form(p: int, q: int, ln2_mass: bool) -> ClosedForm:
             head.append((_LN2, ln2_coefficient))
     for prime, exponent in exponents.items():
         head.append((BasisTerm("logprime", prime), CosineCombination(Fraction(-exponent))))
-    return ClosedForm._defer(tuple(head), p, q, [])
+    return ClosedForm._defer(tuple(head), p, q)
 
 
 def murty_saradha(p: int, q: int) -> ClosedForm:

@@ -7,16 +7,17 @@ throughout the package use the tolerance 10^-(D-10).
 
 A closed form is evaluated in integer fixed point at P = W + 32 bits.  Its
 ln sin(pi*j/q) and cos(2*pi*k/q) values come from one table per common
-denominator q (:class:`_SineTable`): sin(pi*j/q) to within 0.51*2^-P,
-cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q) to within 3*2^-P and ln sin(pi*j/q) to
-within (1 + q/(3j))*2^-P.  That last bound has three parts, in units of
-2^-P: q/(3j) from the error of the stored sine; below 2^-8 for the rounding
-that a chain of at most 63 atanh steps at P + 16 bits accumulates, which
-gives the logs from j = 32 on; and the final rounding to P bits, 1/2 for a
-chained log and 1 for the logs j < 32, which libmp's log gives directly.
-pi, gamma, ln p and pi*cot(pi*x) enter rounded to W bits.  The coefficient
-x basis products and their sum are exact integers, rounded once to W bits; a
-theorem form's deferred half sum adds the products of its records from (p, q).
+denominator q (:class:`_SineTable`), which stores both, formed at fill time
+from sines sin(pi*j/q) within 0.51*2^-P: cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q)
+to within 3*2^-P and ln sin(pi*j/q) to within (1 + q/(3j))*2^-P.  That last
+bound has three parts, in units of 2^-P: q/(3j) from the error of the sine;
+below 2^-8 for the rounding that a chain of at most 63 atanh steps at
+P + 16 bits accumulates, which gives the logs from j = 32 on; and the final
+rounding to P bits, 1/2 for a chained log and 1 for the logs j < 32, which
+libmp's log gives directly.  pi, gamma, ln p and pi*cot(pi*x) enter rounded
+to W bits.  The coefficient x basis products and their sum are exact
+integers, rounded once to W bits; a theorem form's deferred half sum adds
+the products of its records from (p, q).
 
 The tables and those four constants live in one cache (:class:`_ValueCache`),
 a bounded, thread-safe LRU whose budget counts slots: q//2 + 1 per table, one
@@ -189,25 +190,27 @@ def _cos_sin_pi(j: int, q: int, prec: int) -> tuple[int, int]:
 
 
 class _SineTable:
-    """sin(pi*j/q) and ln sin(pi*j/q), 0 < j <= q/2, as integers scaled by 2^prec.
+    """cos(2*pi*j/q) and ln sin(pi*j/q), 0 <= j <= q/2, as integers scaled by
+    2^prec, both formed from the sines sin(pi*j/q).
 
-    The table's unit is a block of 64 consecutive j.  A block's sines and
-    their logs are filled and stored together by :meth:`_block`, the first
-    time any slot of the block is read; the accessors read a stored block
-    from the dict directly.  The block's first sine comes from libmp's cos/sin
+    The table's unit is a block of 64 consecutive j.  A block's sines are
+    filled by :meth:`_fill`, and :meth:`_block` stores the cosines
+    1 - 2 sin^2 and the logs formed from them together, the first time any
+    slot of the block is read; the accessors read a stored block from the
+    dict directly.  The block's first sine comes from libmp's cos/sin
     at an explicit precision, the rest from rotating it by pi/q in fixed
     point at prec + 16 bits.  Each rotation adds at most 3 units of
     2^-(prec+16) to the error, so a block ends within 3*64 of those units,
     whatever q is; rounded to prec bits each sine is within 0.51*2^-prec.
 
-    ln sin(pi*j/q) is the log of the stored sine, within q/(3j) units of
+    ln sin(pi*j/q) is the log of the rounded sine, within q/(3j) units of
     2^-prec of the true one, since sin(pi*x) >= 2x on [0, 1/2].  For j < 32
     libmp's log gives it rounded down to prec bits (within 1 unit); slot 0
     is held as 0.  From j = 32 on, at w = prec + 16 bits, libmp's log gives
     the first log of a block (j = 32 in block 0), within 1.01 units of
     2^-w, and each next one follows from the one before as
     ln s_j = ln s_{j-1} + 2*atanh(u), u = (s_j - s_{j-1})/(s_j + s_{j-1}),
-    from the stored sines shifted left by 16 bits (:meth:`_chain`).  Each
+    from the rounded sines shifted left by 16 bits (:meth:`_chain`).  Each
     of the at most 63 steps adds less than 3.2 units of 2^-w, so the chain
     stays within 2^-8 units of 2^-prec, and rounded to prec bits a chained
     log is within (1/2 + 2^-8 + q/(3j))*2^-prec.  Every slot is thus
@@ -222,15 +225,18 @@ class _SineTable:
         self.q, self.prec = q, prec
         self.slots = q // 2 + 1
         self._step = _cos_sin_pi(1, q, prec + 16)
-        # block index -> (sines, ln sines); memory grows with the blocks used
+        # block index -> (cosines, ln sines); memory grows with the blocks used
         self._blocks: dict[int, tuple[list[int], list[int]]] = {}
 
     def _block(self, b: int) -> tuple[list[int], list[int]]:
+        prec = self.prec
         sines = self._fill(b)
-        logs = [0, *(self._log(s, self.prec) for s in sines[1:_DIRECT])] if b == 0 else []
+        logs = [0, *(self._log(s, prec) for s in sines[1:_DIRECT])] if b == 0 else []
         if len(sines) > len(logs):
             logs += self._chain(sines[len(logs) :])
-        return self._blocks.setdefault(b, (sines, logs))
+        one, half = 1 << prec, 1 << (prec - 2)
+        cosines = [one - ((s * s + half) >> (prec - 1)) for s in sines]
+        return self._blocks.setdefault(b, (cosines, logs))
 
     def _fill(self, b: int) -> list[int]:
         wide = self.prec + 16
@@ -243,16 +249,10 @@ class _SineTable:
             wide_sines.append(s)
         return [(v + (1 << 15)) >> 16 for v in wide_sines]
 
-    def sin(self, j: int) -> int:
-        b, i = divmod(j, _BLOCK)
-        return (self._blocks.get(b) or self._block(b))[0][i]
-
     def cos2(self, k: int) -> int:
         """cos(2*pi*k/q) = 1 - 2 sin^2(pi*k/q), 0 <= k <= q/2, within 3*2^-prec."""
         b, i = divmod(k, _BLOCK)
-        s = (self._blocks.get(b) or self._block(b))[0][i]
-        prec = self.prec
-        return (1 << prec) - ((s * s + (1 << (prec - 2))) >> (prec - 1))
+        return (self._blocks.get(b) or self._block(b))[0][i]
 
     def _log(self, s: int, prec: int) -> int:
         """ln(s*2^-self.prec) scaled by 2^prec and rounded down, within
@@ -266,11 +266,11 @@ class _SineTable:
         return (self._blocks.get(b) or self._block(b))[1][i]
 
     def _chain(self, sines: list[int]) -> list[int]:
-        """ln of consecutive stored sines of one block, from a slot j >= 32
+        """ln of consecutive rounded sines of one block, from a slot j >= 32
         on: libmp's log gives the first, a chain of steps the rest.
 
         A step adds 2*atanh(u) = 2*u*h(u^2), h(t) = sum_{k<n} t^k/(2k + 1),
-        in integers: x = u*2^w rounded down (u is a ratio of stored sines,
+        in integers: x = u*2^w rounded down (u is a ratio of rounded sines,
         so scaling both by 2^16 changes nothing) and h by Horner's rule.
         With x < 2^(w-e) at every step of the block, n = ceil(w/(2e)) terms
         leave out less than 2^-w of h.  Term k's level of the rule carries
@@ -365,8 +365,8 @@ def _basis_value(term: BasisTerm, dps: int) -> tuple:
     )
 
 
-def _scaled(x: Fraction, value: int) -> int:
-    """x * value, rounded to an integer."""
+def _scaled(x: int | Fraction, value: int) -> int:
+    """x * value, rounded to an integer: exactly n * value when x = n/1."""
     n, d = x.numerator, x.denominator
     return n * value if d == 1 else (2 * n * value + d) // (2 * d)
 
@@ -396,15 +396,10 @@ def _fixed_sum(
         cos2, log_sin = table.cos2, table.log_sin
     total = 2 * sum(cos2(k) * log_sin(j) for j, k in _half_sum(*half)) if half else 0
     for term, coeff in pairs:
-        r = coeff.rational
-        c = r.numerator * one if r.denominator == 1 else _scaled(r, one)
-        if coeff.cosines:
-            lift = q // coeff.denominator
-            for k, weight in coeff.cosines:
-                if type(weight) is int:
-                    c += weight * cos2(k * lift)
-                else:
-                    c += _scaled(weight, cos2(k * lift))
+        c = _scaled(coeff.rational, one)
+        lift = q // coeff.denominator
+        for k, weight in coeff.cosines:
+            c += _scaled(weight, cos2(k * lift))
         kind = term.kind
         if kind == "logsin":
             m, d = term.arg
@@ -442,7 +437,7 @@ def eval_closed_form(c: ClosedForm, ctx: EvalContext) -> BigReal:
     guard digits keep the relative error below 10^-(D-5).
     """
     half = getattr(c, "_half", None)
-    return _fixed_sum(half[0], ctx, half[1:3]) if half else _fixed_sum(c.coefficients, ctx)
+    return _fixed_sum(half[0], ctx, half[1:]) if half else _fixed_sum(c.coefficients, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,7 @@ class TestRender:
     def test_big_rational_under_default_int_str_limit(self, default_int_str_limit):
         form = psi_closed(Fraction(30001, 3))
         plain, latex = render(form), render(form, "latex")
-        correction = form.coefficient(UNIT).rational
+        correction = dict(form.coefficients)[UNIT].rational
         sys.set_int_max_str_digits(0)
         try:
             num, den = str(correction.numerator), str(correction.denominator)

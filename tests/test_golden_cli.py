@@ -27,10 +27,12 @@ from conftest import fresh_python
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
 
 # 463/11 is 23/11 + 40 (a shifted argument with a small denominator);
-# 30001/3 has a shift correction whose numerator exceeds 4300 digits.
+# 30001/3 has a shift correction whose numerator exceeds 4300 digits;
+# -5/4 shifts a base of denominator 4, whose theorem form has no half sum to
+# defer, so it is the one argument built eagerly and then shifted.
 ARGUMENTS = [
     "1/2", "-7/3", "12/7", "463/11", "1", "30001/3",
-    "1/3", "-1/2", "5", "3/8", "97/60", "1/97",
+    "1/3", "-1/2", "5", "3/8", "97/60", "1/97", "-5/4",
 ]
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from psiq import formulas, numerics
+from psiq import numerics
 from psiq import (
     EvalContext,
     bernoulli_even,
@@ -320,14 +320,15 @@ class TestFixedPointEvaluator:
         unit = m.mpf(2) ** -prec
         for j in range(q // 2 + 1) if slots is None else slots:
             exact = m.sin(m.pi * j / q)
-            assert abs(table.sin(j) * unit - exact) <= m.mpf("0.51") * unit, j
+            sine = table._fill(j // numerics._BLOCK)[j % numerics._BLOCK] * unit
+            assert abs(sine - exact) <= m.mpf("0.51") * unit, j
             assert abs(table.cos2(j) * unit - m.cos(2 * m.pi * j / q)) <= 3 * unit, j
             if j:
                 # slots from 32 on are chained: rounded to nearest, within 2^-8
-                # of the log of the stored sine before
+                # of the log of the rounded sine before
                 rounding = 1 if j < numerics._DIRECT else m.mpf(0.5) + m.mpf(2) ** -8
                 log = table.log_sin(j) * unit
-                assert abs(log - m.log(table.sin(j) * unit)) <= rounding * unit, j
+                assert abs(log - m.log(sine)) <= rounding * unit, j
                 assert abs(log - m.log(exact)) <= (rounding + m.mpf(q) / (3 * j)) * unit, j
 
 
@@ -405,8 +406,12 @@ def eager_copy(form: ClosedForm) -> ClosedForm:
 
 
 def is_built(form: ClosedForm) -> bool:
-    """Whether a deferred form's half-sum records exist, read without building them."""
-    return bool(form._half[3])
+    """Whether a deferred form's records exist, read from the slot without building them."""
+    try:
+        ClosedForm.coefficients.__get__(form)
+    except AttributeError:
+        return False
+    return True
 
 
 class TestBitIdenticalToReference:
@@ -504,14 +509,14 @@ class TestDeferredHalfSum:
         forms += [construction(7, 60) for construction in (murty_saradha, gauss_1813, nielsen, gr_variant)]
         for form in forms:
             eval_closed_form(form, ctx50)
-            assert not is_built(form), form._half[1:3]
+            assert not is_built(form), form._half[1:]
 
     @pytest.mark.parametrize("read_first", [False, True], ids=["unbuilt", "built"])
     def test_record_behaviour_is_the_eager_copy(self, read_first):
         makers = [
             lambda: murty_saradha(3, 20),
             lambda: gauss_1813(7, 17),
-            lambda: psi_closed(Fraction(7, 17) - 3),  # shares its base form's half sum
+            lambda: psi_closed(Fraction(7, 17) - 3),  # keeps its base form's half sum deferred
         ]
         checks = {
             "eq": lambda f, e: f == e and e == f and not f != e,
@@ -532,22 +537,20 @@ class TestDeferredHalfSum:
                 assert is_built(form) == read_first
                 assert check(form, eager), (index, name)
 
-    def test_shifted_form_reuses_its_base_records(self, monkeypatch):
-        # psi_closed looks murty_saradha up in its module, as bench/spans.py
-        # relies on; the base form it built is kept here
-        bases = []
+    def test_deferred_slot_is_immutable(self):
+        forms = [murty_saradha(1234, 3001), psi_closed(Fraction(1234, 3001) + 2)]
+        for form in forms:
+            hash(form._half)  # raises TypeError for a mutable part
+        form = forms[1]
+        before = copy.deepcopy(form._half)
+        start = threading.Barrier(4)
 
-        def kept(p, q):
-            bases.append(murty_saradha(p, q))
-            return bases[-1]
+        def work(i: int) -> None:
+            start.wait(timeout=60)
+            form.coefficients
 
-        monkeypatch.setattr(formulas, "murty_saradha", kept)
-        form = psi_closed(Fraction(1234, 3001) + 2)
-        (base,) = bases
-        assert not is_built(base)
-        records = form.coefficients
-        assert is_built(base) and len(records) == len(base.coefficients) + 1
-        assert all(a is b for a, b in zip(records[1:], base.coefficients))
+        run_threads(work, 4, timeout=60)
+        assert is_built(form) and form._half == before
 
     def test_threads_fill_in_one_form_as_one(self):
         form = psi_closed(Fraction(1234, 3001) + 2)
